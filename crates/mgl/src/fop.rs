@@ -21,11 +21,10 @@
 //! The primary entry point, [`find_optimal_position_with`], threads a reusable [`FopScratch`]
 //! through the whole chain: one set of grow-only buffers (shift positions, curves,
 //! breakpoints, merged breakpoints, slope prefix sums) serves every insertion point of every
-//! region, and per-region state (row-membership index, per-cell anchor displacements, the
-//! target's own curve, the SACS presort) is computed once per region instead of once per
-//! point. The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
-//! is the differential-testing oracle and the baseline the `fop_kernel` bench compares
-//! against. Placements, costs and work counters are bit-identical between the two.
+//! region, and per-region state (the SACS Ahead Sorter, per-cell anchor displacements, the
+//! target's own curve) is computed once per region instead of once per point. The allocating
+//! implementation it replaced is kept verbatim under [`mod@reference`]: it is the
+//! differential-testing oracle and the baseline the `fop_kernel` bench compares against. Placements, costs and work counters are bit-identical between the two.
 
 use crate::config::{FopVariant, MglConfig, ShiftAlgorithm};
 use crate::curve::{Breakpoint, DisplacementCurve};
@@ -111,12 +110,12 @@ impl CurvePool {
 /// One instance per engine (serial legalizers) or per worker thread (parallel engines, via
 /// [`FopScratch::with_thread_local`]) serves every insertion point of every target without
 /// touching the allocator after warm-up. Besides buffer reuse it carries the per-region
-/// incremental state: the shift row index, per-cell anchor displacements, the target's own
-/// displacement curve, and the SACS Ahead-Sorter presort — all computed once per region
+/// incremental state: the shift kernel's Ahead Sorter (the SACS presort), per-cell anchor
+/// displacements and the target's own displacement curve — all computed once per region
 /// where the [`mod@reference`] implementation recomputes them once per insertion point.
 #[derive(Debug, Clone, Default)]
 pub struct FopScratch {
-    /// Shifting buffers + the per-region row-membership index.
+    /// Shifting buffers + the per-region Ahead Sorter.
     pub(crate) shift: ShiftScratch,
     /// Left-phase outcome buffer.
     pub(crate) left: ShiftOutcome,
@@ -128,8 +127,6 @@ pub struct FopScratch {
     target_curve: DisplacementCurve,
     /// Per-cell current displacement `|x − gx|`, computed once per region.
     anchor_disp: Vec<f64>,
-    /// The SACS Ahead-Sorter presort buffer (hoisted to once per region).
-    presort: Vec<i64>,
     /// Gathered breakpoints of one insertion point.
     bps: Vec<Breakpoint>,
     /// Merged breakpoints.
@@ -169,8 +166,8 @@ impl FopScratch {
         })
     }
 
-    /// Prepare the per-region state: the shift row index, the per-cell anchor displacements,
-    /// the target curve, and (for SACS) the hoisted Ahead-Sorter presort.
+    /// Prepare the per-region state: the shift kernel's Ahead Sorter, the per-cell anchor
+    /// displacements and the target curve.
     fn begin_region(
         &mut self,
         region: &LocalRegion,
@@ -178,23 +175,19 @@ impl FopScratch {
         config: &MglConfig,
         op_stats: &mut FopOpStats,
     ) {
+        // the Ahead Sorter is the SACS presort; the original algorithm's kernel sorts the
+        // same way, and there the sort is part of its cell shifting
+        let t_sort = Instant::now();
         self.shift.begin_region(region);
+        let op = match config.shift {
+            ShiftAlgorithm::Original => FopOperator::CellShift,
+            ShiftAlgorithm::Sacs => FopOperator::Presort,
+        };
+        op_stats.add(op, t_sort.elapsed());
         self.anchor_disp.clear();
         self.anchor_disp
             .extend(region.cells.iter().map(|c| (c.x as f64 - c.gx).abs()));
         self.target_curve.set_abs(target.gx);
-        if config.shift == ShiftAlgorithm::Sacs {
-            // The Ahead-Sorter presort models the hardware sorter's input stream; the host
-            // only needs it for the Fig. 6(g) timing share. It used to run once per
-            // insertion point (sorting the same localCells over and over); it is a
-            // per-region quantity, so it now runs once per region, still attributed to
-            // `Presort`.
-            let t_sort = Instant::now();
-            self.presort.clear();
-            self.presort.extend(region.cells.iter().map(|c| c.x));
-            self.presort.sort_unstable();
-            op_stats.add(FopOperator::Presort, t_sort.elapsed());
-        }
     }
 }
 

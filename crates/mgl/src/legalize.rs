@@ -537,7 +537,7 @@ pub fn plan_commit_with(
         ..
     } = scratch;
     // commit planning is also entered directly (speculation, baselines), so rebuild the
-    // cheap per-region row index rather than assuming a preceding FOP call prepared it
+    // cheap per-region Ahead Sorter rather than assuming a preceding FOP call prepared it
     shift.begin_region(region);
     match cfg.shift {
         ShiftAlgorithm::Original => {

@@ -13,17 +13,30 @@
 //! SACS is a *re-scheduling* of the same overlap-resolution computation: the paper's claim is
 //! that it reaches the same resolved layout with one predictable pass instead of several
 //! unpredictable ones, which is what makes it streamable and pipeline-friendly in hardware.
-//! This crate therefore computes the shifted positions with the shared canonical routine
-//! (`shift_phase_original`, the list-order fixpoint both algorithms converge to) and reports the
-//! **SACS work profile** — cells fed through the Ahead Sorter, per-row cursor (CSP/CSE) queries,
-//! and the single streaming pass — which is what the FPGA performance model in `flex-core`
-//! consumes. The runtime difference between the two algorithms therefore shows up exactly where
-//! the paper claims it does (hardware pipelining and memory traffic), never in placement
-//! quality.
+//!
+//! What the host kernel ([`shift_phase_sacs_with_stats_into`]) does for real:
+//!
+//! - **The Ahead Sorter.** [`ShiftScratch::begin_region`] sorts the localCells by
+//!   `(x, index)` once per region and lays out every segment's row list in that order; the
+//!   traversal and static-edge lists of each problem are read off it in phase order.
+//! - **The streamed output.** Final positions are emitted in Ahead-Sorter order (descending
+//!   for the left-move phase, ascending for the right-move phase) straight from the sorted
+//!   cell list, and the work profile (cells fed through the sorter, CSP/CSE queries) comes
+//!   from the region's subcell totals minus those of the phase's static cells.
+//!
+//! What it keeps: the positions are resolved with the canonical push order of Algorithm 3
+//! ([`shift_phase_original_with`](crate::shift::shift_phase_original_with), the list-order
+//! fixpoint both algorithms converge to), so SACS placements equal the original algorithm's
+//! bit for bit. The **SACS work profile** — cells fed through the Ahead Sorter, per-row
+//! cursor (CSP/CSE) queries, and the single streaming pass — is what the FPGA performance
+//! model in `flex-core` consumes, so the runtime difference between the two algorithms shows
+//! up where the paper claims it does (hardware pipelining and memory traffic), never in
+//! placement quality.
+//!
+//! The allocating [`shift_phase_sacs_with_stats`] is the test oracle of the scratch kernel.
 
 use crate::shift::{
-    shift_phase_original, shift_phase_original_with, Infeasible, Phase, ShiftOutcome, ShiftProblem,
-    ShiftScratch,
+    resolve_with, shift_phase_original, Infeasible, Phase, ShiftOutcome, ShiftProblem, ShiftScratch,
 };
 
 /// Statistics specific to a SACS run (consumed by the FPGA performance model).
@@ -89,10 +102,10 @@ pub fn shift_phase_sacs_with_stats(
     ))
 }
 
-/// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions through
-/// [`shift_phase_original_with`] into the caller's `out` buffer, computes the SACS work
-/// profile from the scratch's phase bitmaps, and re-sorts the positions into the streaming
-/// order in place. Requires [`ShiftScratch::begin_region`] to have been called for
+/// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions on the
+/// scratch buffers, then streams them into the caller's `out` buffer in Ahead-Sorter order
+/// (skipping the phase's static cells) and derives the SACS work profile from the region's
+/// subcell totals. Requires [`ShiftScratch::begin_region`] to have been called for
 /// `problem.region`. Bit-identical to the allocating function.
 pub fn shift_phase_sacs_with_stats_into(
     problem: &ShiftProblem<'_>,
@@ -100,37 +113,30 @@ pub fn shift_phase_sacs_with_stats_into(
     scratch: &mut ShiftScratch,
     out: &mut ShiftOutcome,
 ) -> Result<SacsStats, Infeasible> {
-    let region = problem.region;
-    shift_phase_original_with(problem, phase, scratch, out)?;
+    resolve_with(problem, phase, scratch)?;
+    let ShiftScratch {
+        pos,
+        statics,
+        order,
+        subcells,
+        static_subcells,
+        ..
+    } = scratch;
 
-    let mut stats = SacsStats {
-        sorted_cells: region.cells.len() as u64,
-        ..SacsStats::default()
-    };
-    let mut subcell_visits = 0u64;
-    for (i, c) in region.cells.iter().enumerate() {
-        if scratch.is_static(i) {
-            continue;
-        }
-        let rows = c.height as u64;
-        stats.bound_queries += rows;
-        subcell_visits += rows;
-        if c.height > 3 {
-            stats.tall_bound_queries += rows;
-        }
-    }
-
+    let stream = |i: &usize| (!statics[*i]).then(|| (*i, pos[*i]));
+    out.positions.clear();
     match phase {
-        Phase::Left => out
-            .positions
-            .sort_by_key(|&(i, _)| std::cmp::Reverse((region.cells[i].x, i as i64))),
-        Phase::Right => out
-            .positions
-            .sort_by_key(|&(i, _)| (region.cells[i].x, i as i64)),
+        Phase::Left => out.positions.extend(order.iter().rev().filter_map(stream)),
+        Phase::Right => out.positions.extend(order.iter().filter_map(stream)),
     }
+    let bound_queries = subcells.all - static_subcells.all;
     out.passes = 1;
-    out.subcell_visits = subcell_visits;
-    Ok(stats)
+    out.subcell_visits = bound_queries;
+    Ok(SacsStats {
+        sorted_cells: order.len() as u64,
+        bound_queries,
+        tall_bound_queries: subcells.tall - static_subcells.tall,
+    })
 }
 
 /// Run one SACS phase (positions only).
@@ -139,13 +145,6 @@ pub fn shift_phase_sacs(
     phase: Phase,
 ) -> Result<ShiftOutcome, Infeasible> {
     shift_phase_sacs_with_stats(problem, phase).map(|(o, _)| o)
-}
-
-/// Run both SACS phases.
-pub fn shift_sacs(problem: &ShiftProblem<'_>) -> Result<(ShiftOutcome, ShiftOutcome), Infeasible> {
-    let left = shift_phase_sacs(problem, Phase::Left)?;
-    let right = shift_phase_sacs(problem, Phase::Right)?;
-    Ok((left, right))
 }
 
 #[cfg(test)]

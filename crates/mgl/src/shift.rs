@@ -100,14 +100,14 @@ impl ShiftOutcome {
     }
 }
 
-/// A grow-only pool of per-segment index lists (reused across problems and regions).
+/// A grow-only pool of per-segment lists (reused across problems and regions).
 #[derive(Debug, Clone, Default)]
-struct SegLists {
-    lists: Vec<Vec<usize>>,
+struct SegLists<T> {
+    lists: Vec<Vec<T>>,
     len: usize,
 }
 
-impl SegLists {
+impl<T> SegLists<T> {
     fn reset(&mut self, n: usize) {
         while self.lists.len() < n {
             self.lists.push(Vec::new());
@@ -118,41 +118,12 @@ impl SegLists {
         self.len = n;
     }
 
-    fn get(&self, i: usize) -> &[usize] {
+    fn get(&self, i: usize) -> &[T] {
         debug_assert!(i < self.len);
         &self.lists[i]
     }
 
-    fn get_mut(&mut self, i: usize) -> &mut Vec<usize> {
-        debug_assert!(i < self.len);
-        &mut self.lists[i]
-    }
-}
-
-/// A grow-only pool of per-segment static obstacle edges `(x, width)`.
-#[derive(Debug, Clone, Default)]
-struct EdgeLists {
-    lists: Vec<Vec<(i64, i64)>>,
-    len: usize,
-}
-
-impl EdgeLists {
-    fn reset(&mut self, n: usize) {
-        while self.lists.len() < n {
-            self.lists.push(Vec::new());
-        }
-        for l in self.lists.iter_mut().take(n) {
-            l.clear();
-        }
-        self.len = n;
-    }
-
-    fn get(&self, i: usize) -> &[(i64, i64)] {
-        debug_assert!(i < self.len);
-        &self.lists[i]
-    }
-
-    fn get_mut(&mut self, i: usize) -> &mut Vec<(i64, i64)> {
+    fn get_mut(&mut self, i: usize) -> &mut Vec<T> {
         debug_assert!(i < self.len);
         &mut self.lists[i]
     }
@@ -164,29 +135,58 @@ impl EdgeLists {
 /// Usage contract: call [`ShiftScratch::begin_region`] once per [`LocalRegion`], then any
 /// number of [`shift_phase_original_with`] /
 /// [`shift_phase_sacs_with_stats_into`](crate::sacs::shift_phase_sacs_with_stats_into) calls
-/// against that region. The row-membership index built by `begin_region` replaces the
-/// per-pass `rows().any(..)` scans of the reference implementation; the phase bitmaps
-/// replace its per-problem `BTreeSet`s. Results are bit-identical to the allocating
-/// functions (same traversal orders, same arithmetic).
+/// against that region. `begin_region` builds the SACS Ahead Sorter once per region: the cell
+/// indices sorted by `(x, index)`, every segment's row list in that order, and the region's
+/// subcell totals. The phase bitmaps replace the reference implementation's per-problem
+/// `BTreeSet`s. Results are bit-identical to the allocating functions (same traversal
+/// orders, same arithmetic).
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
     /// Working x positions, indexed by region cell index.
-    pos: Vec<i64>,
+    pub(crate) pos: Vec<i64>,
     /// Membership bitmap of the phase's static (opposite-chain) cells.
-    statics: Vec<bool>,
+    pub(crate) statics: Vec<bool>,
     /// Membership bitmap of the phase's designated movers (own chain).
     movers: Vec<bool>,
-    /// Non-static cell indices, ascending (the reference's `participants`).
-    participants: Vec<usize>,
-    /// Region-lifetime: per segment, indices of the cells occupying that row (ascending).
-    row_cells: SegLists,
-    /// Problem-lifetime: per segment, the movable traversal list (re-sorted by position
-    /// every pass, exactly like the reference rebuilds it).
-    traverse: SegLists,
-    /// Problem-lifetime: per segment, static obstacle edges sorted in phase direction.
-    static_edges: EdgeLists,
+    /// Region-lifetime: the Ahead Sorter, every cell index sorted by `(x, index)`.
+    pub(crate) order: Vec<usize>,
+    /// Region-lifetime: per segment, indices of the cells occupying that row, in
+    /// Ahead-Sorter order.
+    row_cells: SegLists<usize>,
+    /// Region-lifetime: subcells (occupied rows) of every cell, and of cells taller than 3
+    /// rows.
+    pub(crate) subcells: Subcells,
+    /// Region-lifetime: every cell is at least one site wide (the confirmation-pass skip
+    /// relies on it; see [`shift_phase_original_with`]).
+    positive_widths: bool,
+    /// Problem-lifetime: subcells of the phase's distinct static cells.
+    pub(crate) static_subcells: Subcells,
+    /// Problem-lifetime: per segment, the movable traversal list in phase order (re-sorted
+    /// by position only when a pass left it out of order).
+    traverse: SegLists<usize>,
+    /// Problem-lifetime: per segment, static obstacle edges in phase order.
+    static_edges: SegLists<(i64, i64)>,
     /// Identity of the region `begin_region` indexed (misuse guard).
     region_key: Option<RegionKey>,
+}
+
+/// Subcell counts: all subcells, and those of cells taller than 3 rows.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Subcells {
+    /// Every occupied row of every counted cell.
+    pub(crate) all: u64,
+    /// The occupied rows of counted cells taller than 3 rows.
+    pub(crate) tall: u64,
+}
+
+impl Subcells {
+    fn add(&mut self, height: i64) {
+        let rows = height as u64;
+        self.all += rows;
+        if height > 3 {
+            self.tall += rows;
+        }
+    }
 }
 
 /// Identity of the region a [`ShiftScratch`] was prepared for: enough to tell two regions
@@ -217,40 +217,79 @@ impl RegionKey {
 }
 
 impl ShiftScratch {
-    /// Build the per-segment row-membership index for `region`. Must be called before the
-    /// scratch shifting functions are used on problems of that region.
+    /// Build the Ahead Sorter for `region`: sort the cells by `(x, index)`, fill every
+    /// segment's row list in that order, and total the region's subcells. Must be called
+    /// before the scratch shifting functions are used on problems of that region.
     pub fn begin_region(&mut self, region: &LocalRegion) {
         debug_assert!(
             region.segments.windows(2).all(|w| w[0].row < w[1].row),
             "LocalRegion segments must be sorted by row (see LocalRegion::segments)"
         );
-        let nsegs = region.segments.len();
-        self.row_cells.reset(nsegs);
-        for (i, c) in region.cells.iter().enumerate() {
+        let cells = &region.cells;
+        self.order.clear();
+        self.order.extend(0..cells.len());
+        self.order.sort_unstable_by_key(|&i| (cells[i].x, i));
+        self.row_cells.reset(region.segments.len());
+        self.subcells = Subcells::default();
+        for &i in &self.order {
+            let c = &cells[i];
+            self.subcells.add(c.height);
             for r in c.rows() {
                 if let Some(s) = region.segment_index(r) {
                     self.row_cells.get_mut(s).push(i);
                 }
             }
         }
+        self.positive_widths = cells.iter().all(|c| c.width > 0);
         self.region_key = Some(RegionKey::of(region));
-    }
-
-    /// Whether cell `i` was a static obstacle in the most recent phase run.
-    pub(crate) fn is_static(&self, i: usize) -> bool {
-        self.statics[i]
     }
 }
 
 /// Scratch twin of [`shift_phase_original`]: writes the outcome into `out` (positions vector
-/// reused) instead of allocating, and reads the per-segment membership prepared by
-/// [`ShiftScratch::begin_region`]. Produces bit-identical positions, passes and visit counts.
+/// reused, in ascending cell index) instead of allocating, and reads the Ahead Sorter
+/// prepared by [`ShiftScratch::begin_region`]. Produces bit-identical positions, passes and
+/// visit counts.
+///
+/// Two facts let it skip work the reference does:
+///
+/// - **In-row order.** A sweep keeps the x order of the cells it visits in a row: every
+///   visited cell ends up behind the bound its predecessor left, and a cell at least one
+///   site wide therefore strictly behind that predecessor. The traversal lists start in
+///   Ahead-Sorter order, and a pass re-sorts a row only when it finds the row out of order
+///   (a multi-row cell pushed in another row can overtake a neighbour).
+/// - **The confirmation pass.** After a pass that moved cells, the reference runs one more
+///   pass that moves nothing. That pass can move something only if a cell was pushed in a
+///   row above its bottom row (rows below, already swept, saw its old position) or a push
+///   carried a cell past a static edge the cursor had not folded yet (the repeat would fold
+///   it earlier). If neither happened, and every cell is at least one site wide, the repeat
+///   pass is counted instead of run: one more pass, and one visit per traversal entry.
 pub fn shift_phase_original_with(
     problem: &ShiftProblem<'_>,
     phase: Phase,
     scratch: &mut ShiftScratch,
     out: &mut ShiftOutcome,
 ) -> Result<(), Infeasible> {
+    let (passes, visits) = resolve_with(problem, phase, scratch)?;
+    let ShiftScratch { pos, statics, .. } = scratch;
+    out.positions.clear();
+    out.positions.extend(
+        (0..problem.region.cells.len())
+            .filter(|&i| !statics[i])
+            .map(|i| (i, pos[i])),
+    );
+    out.passes = passes;
+    out.subcell_visits = visits;
+    Ok(())
+}
+
+/// Run the canonical shifting fixpoint for one phase on the scratch buffers. On success the
+/// resolved positions are in `scratch.pos`, the phase's statics in `scratch.statics` (their
+/// subcells in `scratch.static_subcells`); returns `(passes, subcell visits)`.
+pub(crate) fn resolve_with(
+    problem: &ShiftProblem<'_>,
+    phase: Phase,
+    scratch: &mut ShiftScratch,
+) -> Result<(u32, u64), Infeasible> {
     let region = problem.region;
     let n = region.cells.len();
     // checked unconditionally: a stale row index would produce silently wrong positions
@@ -264,24 +303,30 @@ pub fn shift_phase_original_with(
         pos,
         statics,
         movers,
-        participants,
         row_cells,
+        positive_widths,
+        static_subcells,
         traverse,
         static_edges,
         ..
     } = scratch;
 
-    // phase membership bitmaps (the scratch twin of the reference's BTreeSets)
+    // phase membership bitmaps (the scratch twin of the reference's BTreeSets); a multi-row
+    // static appears in several rows of its chain, so its subcells count once
     statics.clear();
     statics.resize(n, false);
     movers.clear();
     movers.resize(n, false);
+    *static_subcells = Subcells::default();
     let (mover_chain, static_chain) = match phase {
         Phase::Left => (&problem.point.left_chain, &problem.point.right_chain),
         Phase::Right => (&problem.point.right_chain, &problem.point.left_chain),
     };
     for &i in static_chain.iter().flatten() {
-        statics[i] = true;
+        if !statics[i] {
+            statics[i] = true;
+            static_subcells.add(region.cells[i].height);
+        }
     }
     for &i in mover_chain.iter().flatten() {
         movers[i] = true;
@@ -289,38 +334,36 @@ pub fn shift_phase_original_with(
 
     pos.clear();
     pos.extend(region.cells.iter().map(|c| c.x));
-    participants.clear();
-    participants.extend((0..n).filter(|&i| !statics[i]));
 
     let target_rows = problem.target_rows();
     let nsegs = region.segments.len();
 
-    // Hoisted out of the pass loop: traversal membership and static obstacle positions never
-    // change within a phase, so they are computed once per problem (the reference rebuilds
-    // and re-sorts them every pass).
+    // Traversal membership and static obstacle positions never change within a phase, so
+    // they are built once per problem, in phase order straight from the Ahead Sorter's row
+    // lists (the reference rebuilds and re-sorts them every pass).
     traverse.reset(nsegs);
     static_edges.reset(nsegs);
+    let mut traversal_len = 0u64;
     for (s, seg) in region.segments.iter().enumerate() {
         let is_target_row = target_rows.contains(&seg.row);
         let t = traverse.get_mut(s);
-        for &i in row_cells.get(s) {
-            if !statics[i] && (!is_target_row || movers[i]) {
-                t.push(i);
-            }
-        }
-        if !is_target_row {
-            let e = static_edges.get_mut(s);
-            for &i in row_cells.get(s) {
-                if statics[i] {
-                    let c = &region.cells[i];
-                    e.push((c.x, c.width));
+        let e = static_edges.get_mut(s);
+        let row = row_cells.get(s);
+        for k in 0..row.len() {
+            let i = match phase {
+                Phase::Left => row[row.len() - 1 - k],
+                Phase::Right => row[k],
+            };
+            if !statics[i] {
+                if !is_target_row || movers[i] {
+                    t.push(i);
                 }
-            }
-            match phase {
-                Phase::Left => e.sort_by_key(|&(x, _)| std::cmp::Reverse(x)),
-                Phase::Right => e.sort_by_key(|&(x, _)| x),
+            } else if !is_target_row {
+                let c = &region.cells[i];
+                e.push((c.x, c.width));
             }
         }
+        traversal_len += t.len() as u64;
     }
 
     let mut passes = 0u32;
@@ -328,6 +371,8 @@ pub fn shift_phase_original_with(
     loop {
         passes += 1;
         let mut finish = true;
+        // whether a repeat of this pass could move anything (see the function docs)
+        let mut repeat = false;
         for (s, seg) in region.segments.iter().enumerate() {
             let is_target_row = target_rows.contains(&seg.row);
             let t = traverse.get_mut(s);
@@ -335,7 +380,10 @@ pub fn shift_phase_original_with(
             let mut cursor = 0usize;
             match phase {
                 Phase::Left => {
-                    t.sort_by_key(|&i| std::cmp::Reverse((pos[i], i)));
+                    let key = |&i: &usize| std::cmp::Reverse((pos[i], i));
+                    if !t.is_sorted_by_key(key) {
+                        t.sort_by_key(key);
+                    }
                     let mut bound = if is_target_row {
                         seg.span.hi.min(problem.target_x)
                     } else {
@@ -352,20 +400,25 @@ pub fn shift_phase_original_with(
                                 break;
                             }
                         }
-                        let w = region.cells[i].width;
-                        if pos[i] + w > bound {
-                            let new_x = bound - w;
+                        let c = &region.cells[i];
+                        if pos[i] + c.width > bound {
+                            let new_x = bound - c.width;
                             if new_x < seg.span.lo {
                                 return Err(Infeasible);
                             }
                             pos[i] = new_x;
                             finish = false;
+                            repeat |= c.y < seg.row
+                                || edges.get(cursor).is_some_and(|&(sx, _)| sx >= new_x);
                         }
                         bound = bound.min(pos[i]);
                     }
                 }
                 Phase::Right => {
-                    t.sort_by_key(|&i| (pos[i], i));
+                    let key = |&i: &usize| (pos[i], i);
+                    if !t.is_sorted_by_key(key) {
+                        t.sort_by_key(key);
+                    }
                     let mut bound = if is_target_row {
                         seg.span.lo.max(problem.target_x + problem.target_width)
                     } else {
@@ -382,15 +435,17 @@ pub fn shift_phase_original_with(
                                 break;
                             }
                         }
-                        let w = region.cells[i].width;
+                        let c = &region.cells[i];
                         if pos[i] < bound {
-                            if bound + w > seg.span.hi {
+                            if bound + c.width > seg.span.hi {
                                 return Err(Infeasible);
                             }
                             pos[i] = bound;
                             finish = false;
+                            repeat |= c.y < seg.row
+                                || edges.get(cursor).is_some_and(|&(sx, _)| sx <= bound);
                         }
-                        bound = bound.max(pos[i] + w);
+                        bound = bound.max(pos[i] + c.width);
                     }
                 }
             }
@@ -401,14 +456,14 @@ pub fn shift_phase_original_with(
         if passes > 4 * (n as u32 + 2) {
             return Err(Infeasible);
         }
+        if !repeat && *positive_widths {
+            // the confirmation pass would visit every traversal entry and move nothing
+            passes += 1;
+            visits += traversal_len;
+            break;
+        }
     }
-
-    out.positions.clear();
-    out.positions
-        .extend(participants.iter().map(|&i| (i, pos[i])));
-    out.passes = passes;
-    out.subcell_visits = visits;
-    Ok(())
+    Ok((passes, visits))
 }
 
 /// Shifting failed: a cell would have to be pushed outside its localSegment.
@@ -781,6 +836,86 @@ mod tests {
             target_x: 4,
         };
         assert_eq!(shift_phase_original(&problem, Phase::Left), Err(Infeasible));
+    }
+
+    /// Run a hand-built two-row problem (row 0 is the target row, cell 0 the two-row mover,
+    /// `statics` the opposite chain) and check that the scratch kernel runs the repeat pass
+    /// the reference needs.
+    fn assert_kernel_repeats(
+        phase: Phase,
+        cells: &[(i64, i64, i64, i64)],
+        statics: Vec<usize>,
+        target_x: i64,
+    ) {
+        let region = LocalRegion {
+            target: CellId(9),
+            window: Rect::new(0, 0, 40, 2),
+            segments: (0..2)
+                .map(|row| LocalSegment {
+                    row,
+                    span: Interval::new(0, 40),
+                })
+                .collect(),
+            cells: cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, width, y, height))| LocalCell {
+                    id: CellId(i as u32),
+                    x,
+                    y,
+                    width,
+                    height,
+                    gx: x as f64,
+                })
+                .collect(),
+            density: 0.3,
+        };
+        let (movers, statics) = (vec![vec![0]], vec![statics]);
+        let (left_chain, right_chain) = match phase {
+            Phase::Left => (movers, statics),
+            Phase::Right => (statics, movers),
+        };
+        let point = InsertionPoint {
+            bottom_row: 0,
+            x_lo: target_x,
+            x_hi: target_x,
+            left_chain,
+            right_chain,
+        };
+        let problem = ShiftProblem {
+            region: &region,
+            point: &point,
+            target_width: 2,
+            target_height: 1,
+            target_x,
+        };
+        let expect = shift_phase_original(&problem, phase).unwrap();
+        assert_eq!(expect.passes, 3, "{phase:?}: the second pass pushes again");
+        let mut scratch = ShiftScratch::default();
+        scratch.begin_region(&region);
+        let mut out = ShiftOutcome::default();
+        shift_phase_original_with(&problem, phase, &mut scratch, &mut out).unwrap();
+        assert_eq!(out, expect, "{phase:?}");
+    }
+
+    /// A push that carries a cell past a static edge the sweep has not folded yet must be
+    /// followed by a real repeat pass, which folds the edge earlier and pushes again. Cells
+    /// are `(x, width, y, height)`: the two-row mover, the cell it pushes in row 1, and a
+    /// static cell in row 1.
+    #[test]
+    fn repeat_pass_runs_when_a_push_passes_an_unfolded_static_edge() {
+        let cells = [(20, 4, 0, 2), (14, 4, 1, 1), (11, 2, 1, 1)];
+        assert_kernel_repeats(Phase::Left, &cells, vec![2], 19);
+        let cells = [(12, 4, 0, 2), (18, 4, 1, 1), (22, 2, 1, 1)];
+        assert_kernel_repeats(Phase::Right, &cells, vec![2], 16);
+    }
+
+    /// A zero-width cell pushed onto the position of a cell with a lower index swaps their
+    /// order in the next pass's sort, so that pass is run, not counted.
+    #[test]
+    fn repeat_pass_runs_when_a_zero_width_cell_ties_a_neighbour() {
+        let cells = [(3, 4, 0, 2), (9, 4, 1, 1), (8, 0, 1, 1)];
+        assert_kernel_repeats(Phase::Right, &cells, vec![], 3);
     }
 
     #[test]

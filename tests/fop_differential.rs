@@ -6,13 +6,19 @@
 //! counters (they feed the FPGA performance model and the golden traces), for both
 //! [`FopVariant`]s and both [`ShiftAlgorithm`]s, on randomly generated regions. The commit
 //! plan derived from a placement must likewise match the one derived from the allocating
-//! shift functions.
+//! shift functions, and the scratch shifting kernels must match the allocating shift
+//! functions problem by problem.
 
 use flex::mgl::config::{FopVariant, MglConfig, ShiftAlgorithm};
 use flex::mgl::fop::{self, FopScratch, TargetSpec};
+use flex::mgl::insertion::enumerate_insertion_points;
 use flex::mgl::legalize::plan_commit_with;
 use flex::mgl::region::{LocalCell, LocalRegion, LocalSegment};
-use flex::mgl::shift::{shift_original, Phase, ShiftProblem};
+use flex::mgl::sacs::{shift_phase_sacs_with_stats, shift_phase_sacs_with_stats_into};
+use flex::mgl::shift::{
+    shift_original, shift_phase_original, shift_phase_original_with, Phase, ShiftOutcome,
+    ShiftProblem, ShiftScratch,
+};
 use flex::mgl::stats::FopOpStats;
 use flex::placement::cell::CellId;
 use flex::placement::geom::{Interval, Rect};
@@ -21,17 +27,33 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Build a random region (non-overlapping cells, possibly multi-row) plus a target spec.
-fn random_case(seed: u64) -> (LocalRegion, TargetSpec) {
+///
+/// With `carved`, every row gets its own segment span inside `[0, width)` (as obstacles
+/// carve real localSegments), and each cell lies inside the spans of all its rows, so a
+/// multi-row cell's rows can end at different x.
+fn random_case(seed: u64, carved: bool) -> (LocalRegion, TargetSpec) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rows = rng.random_range(1..=5i64);
     let width = rng.random_range(24..=96i64);
+    let spans: Vec<Interval> = (0..rows)
+        .map(|_| {
+            if carved {
+                Interval::new(
+                    rng.random_range(0..=width / 4),
+                    rng.random_range(3 * width / 4..=width),
+                )
+            } else {
+                Interval::new(0, width)
+            }
+        })
+        .collect();
     let mut region = LocalRegion {
         target: CellId(100_000),
         window: Rect::new(0, 0, width, rows),
         segments: (0..rows)
             .map(|r| LocalSegment {
                 row: r,
-                span: Interval::new(0, width),
+                span: spans[r as usize],
             })
             .collect(),
         cells: Vec::new(),
@@ -43,10 +65,13 @@ fn random_case(seed: u64) -> (LocalRegion, TargetSpec) {
         let h = rng.random_range(1..=rows.min(4));
         let y = rng.random_range(0..=(rows - h));
         let w = rng.random_range(2..=8i64);
-        if w > width {
+        let rows_of_cell = &spans[y as usize..(y + h) as usize];
+        let lo = rows_of_cell.iter().map(|s| s.lo).max().unwrap();
+        let hi = rows_of_cell.iter().map(|s| s.hi).min().unwrap();
+        if lo > hi - w {
             continue;
         }
-        let x = rng.random_range(0..=(width - w));
+        let x = rng.random_range(lo..=(hi - w));
         let span = Interval::new(x, x + w);
         let clash = (y..y + h).any(|r| occupied[r as usize].iter().any(|iv| iv.overlaps(&span)));
         if clash {
@@ -79,6 +104,90 @@ fn random_case(seed: u64) -> (LocalRegion, TargetSpec) {
     (region, target)
 }
 
+/// Run every shifting problem of one random case through the scratch kernels and the
+/// allocating functions: every insertion point, both phases, at `x_lo`, the middle and
+/// `x_hi`. Asserts positions (in order), passes, visits, SACS stats and `Err` agree, and
+/// returns the original algorithm's pass count of each problem.
+fn check_shift_kernels(
+    seed: u64,
+    carved: bool,
+    scratch: &mut ShiftScratch,
+) -> Result<Vec<u32>, TestCaseError> {
+    let (region, target) = random_case(seed, carved);
+    let points = enumerate_insertion_points(
+        &region,
+        target.width,
+        target.height,
+        target.parity,
+        target.gx,
+        160,
+    );
+    scratch.begin_region(&region);
+    let mut out = ShiftOutcome::default();
+    let mut passes = Vec::new();
+    for point in &points {
+        for target_x in [point.x_lo, (point.x_lo + point.x_hi) / 2, point.x_hi] {
+            let problem = ShiftProblem {
+                region: &region,
+                point,
+                target_width: target.width,
+                target_height: target.height,
+                target_x,
+            };
+            for phase in [Phase::Left, Phase::Right] {
+                let expect = shift_phase_original(&problem, phase);
+                let got = shift_phase_original_with(&problem, phase, scratch, &mut out)
+                    .map(|()| out.clone());
+                prop_assert_eq!(
+                    &expect,
+                    &got,
+                    "original: seed {} carved {} x {} {:?}",
+                    seed,
+                    carved,
+                    target_x,
+                    phase
+                );
+                if let Ok(o) = &expect {
+                    passes.push(o.passes);
+                }
+
+                let expect = shift_phase_sacs_with_stats(&problem, phase);
+                let got = shift_phase_sacs_with_stats_into(&problem, phase, scratch, &mut out)
+                    .map(|stats| (out.clone(), stats));
+                prop_assert_eq!(
+                    expect,
+                    got,
+                    "sacs: seed {} carved {} x {} {:?}",
+                    seed,
+                    carved,
+                    target_x,
+                    phase
+                );
+            }
+        }
+    }
+    Ok(passes)
+}
+
+/// The seed range the kernel differential covers reaches both fixpoint endings: problems
+/// that need a repeat pass (≥ 3 passes) and problems whose one moving pass is followed by the
+/// confirmation pass the scratch kernel counts instead of running (exactly 2 passes).
+#[test]
+fn shift_kernel_differential_reaches_both_fixpoint_endings() {
+    let mut scratch = ShiftScratch::default();
+    let (mut two, mut repeat) = (0usize, 0usize);
+    for seed in 0..400 {
+        for carved in [false, true] {
+            let passes =
+                check_shift_kernels(seed, carved, &mut scratch).unwrap_or_else(|e| panic!("{e}"));
+            two += passes.iter().filter(|&&p| p == 2).count();
+            repeat += passes.iter().filter(|&&p| p >= 3).count();
+        }
+    }
+    assert!(two > 0, "no problem with exactly 2 passes");
+    assert!(repeat > 0, "no problem needing a repeat pass");
+}
+
 const CONFIGS: [(ShiftAlgorithm, FopVariant); 4] = [
     (ShiftAlgorithm::Original, FopVariant::Original),
     (ShiftAlgorithm::Original, FopVariant::Reorganized),
@@ -94,9 +203,9 @@ proptest! {
     /// (which also exercises cross-region buffer reuse).
     #[test]
     fn scratch_fop_is_bit_identical_to_the_reference(seed in 0u64..1_000_000) {
-        let (region, target) = random_case(seed);
         let mut scratch = FopScratch::new();
-        for (shift, fopv) in CONFIGS {
+        for ((shift, fopv), carved) in CONFIGS.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+            let (region, target) = random_case(seed, carved);
             let cfg = MglConfig {
                 shift,
                 fop: fopv,
@@ -110,19 +219,31 @@ proptest! {
             prop_assert_eq!(
                 &reference.best,
                 &scratched.best,
-                "placement diverged: seed {} shift {:?} fop {:?}",
+                "placement diverged: seed {} carved {} shift {:?} fop {:?}",
                 seed,
+                carved,
                 shift,
                 fopv
             );
             prop_assert_eq!(
                 &reference.work,
                 &scratched.work,
-                "work counters diverged: seed {} shift {:?} fop {:?}",
+                "work counters diverged: seed {} carved {} shift {:?} fop {:?}",
                 seed,
+                carved,
                 shift,
                 fopv
             );
+        }
+    }
+
+    /// The scratch shifting kernels equal the allocating shift functions on every problem of
+    /// a random region, with one scratch reused across cases.
+    #[test]
+    fn scratch_shift_kernels_match_the_allocating_functions(seed in 0u64..1_000_000) {
+        let mut scratch = ShiftScratch::default();
+        for carved in [false, true] {
+            check_shift_kernels(seed, carved, &mut scratch)?;
         }
     }
 
@@ -132,7 +253,7 @@ proptest! {
     #[test]
     fn scratch_enumeration_is_identical_to_the_allocating_oracle(seed in 0u64..1_000_000) {
         use flex::mgl::insertion::{enumerate_insertion_points, enumerate_insertion_points_into, InsertionScratch};
-        let (region, target) = random_case(seed);
+        let (region, target) = random_case(seed, false);
         let mut scratch = InsertionScratch::default();
         for cap in [160usize, 7] {
             let expect = enumerate_insertion_points(
@@ -150,8 +271,8 @@ proptest! {
     /// functions produce, and is insensitive to scratch reuse (fresh scratch ≡ warm scratch).
     #[test]
     fn scratch_commit_plans_match_allocating_shift_positions(seed in 0u64..1_000_000) {
-        let (region, target) = random_case(seed);
-        for (shift, fopv) in CONFIGS {
+        for ((shift, fopv), carved) in CONFIGS.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+            let (region, target) = random_case(seed, carved);
             let cfg = MglConfig {
                 shift,
                 fop: fopv,
