@@ -23,7 +23,7 @@
 //! the repository.
 //!
 //! With `--parallel-json` it measures the parallel MGL engine across
-//! threads × ordering × pipelining on the acceptance-scale case (50k cells by default,
+//! threads × ordering on the acceptance-scale case (50k cells by default,
 //! `FLEX_BENCH_PARALLEL_CELLS` to override) — wall-clock, `speculative_fraction` and the
 //! pipelining counters — and writes `BENCH_parallel.json` (path overridable via
 //! `FLEX_BENCH_PARALLEL_OUT`), so the parallel path's perf trajectory is tracked like the
@@ -395,7 +395,6 @@ fn fop_json() {
 /// One measured parallel-engine configuration.
 struct ParallelBenchRow {
     threads: usize,
-    depth: usize,
     seconds: f64,
     speculative_fraction: f64,
     pipelined_batches: usize,
@@ -403,15 +402,7 @@ struct ParallelBenchRow {
     dirty_recomputes: usize,
 }
 
-impl ParallelBenchRow {
-    /// Kept alongside `depth` for readers of the previous schema.
-    fn pipelined(&self) -> bool {
-        self.depth > 1
-    }
-}
-
-/// `--parallel-json`: measure the parallel MGL engine (threads × ordering × pipeline
-/// depth) against the serial legalizer on the acceptance-scale case and write
+/// `--parallel-json`: measure the parallel MGL engine (threads × ordering) against the serial legalizer on the acceptance-scale case and write
 /// `BENCH_parallel.json`.
 fn parallel_json() {
     use flex_mgl::parallel::ParallelMglLegalizer;
@@ -443,7 +434,7 @@ fn parallel_json() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    println!("--- parallel MGL: threads × ordering × pipeline depth ({cells} cells) ---");
+    println!("--- parallel MGL: threads × ordering ({cells} cells) ---");
     let mut cases = String::new();
     let orderings = [
         ("size-desc", OrderingStrategy::SizeDescending),
@@ -461,21 +452,9 @@ fn parallel_json() {
         assert!(serial.legal, "{label}: serial run must be legal");
         println!("  {label:<15} serial                  {serial_s:>8.2} s");
 
-        // depth 2 (the classic double-buffered pipeline) and depth 1 (barrier engine)
-        // across the thread sweep, plus deeper pipelines at the top thread count
-        let mut configs: Vec<(usize, usize)> = Vec::new();
-        for &depth in &[2usize, 1] {
-            for &n in &threads {
-                configs.push((n, depth));
-            }
-        }
-        for depth in [3usize, 4] {
-            configs.push((max_threads, depth));
-        }
-
         let mut rows = Vec::new();
-        for (n, depth) in configs {
-            let engine = ParallelMglLegalizer::new(n, cfg.clone()).with_pipeline_depth(depth);
+        for &n in &threads {
+            let engine = ParallelMglLegalizer::new(n, cfg.clone());
             let mut d = generate(&spec);
             let start = std::time::Instant::now();
             let out = engine.legalize(&mut d);
@@ -487,14 +466,13 @@ fn parallel_json() {
                 "{label}: parallel quality must be byte-identical to serial"
             );
             println!(
-                "  {label:<15} {n}T depth {depth:<2} {seconds:>8.2} s   speedup {:>5.2}x   spec {:>5.1}%   xbatch-inv {}",
+                "  {label:<15} {n}T       {seconds:>8.2} s   speedup {:>5.2}x   spec {:>5.1}%   xbatch-inv {}",
                 serial_s / seconds,
                 out.shards.speculative_fraction() * 100.0,
                 out.shards.cross_batch_invalidated,
             );
             rows.push(ParallelBenchRow {
                 threads: n,
-                depth,
                 seconds,
                 speculative_fraction: out.shards.speculative_fraction(),
                 pipelined_batches: out.shards.pipelined_batches,
@@ -508,10 +486,8 @@ fn parallel_json() {
         ));
         for (i, r) in rows.iter().enumerate() {
             cases.push_str(&format!(
-                "      {{\"threads\": {}, \"pipelined\": {}, \"depth\": {}, \"seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \"speculative_fraction\": {:.4}, \"pipelined_batches\": {}, \"cross_batch_invalidated\": {}, \"dirty_recomputes\": {}}}{}\n",
+                "      {{\"threads\": {}, \"seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \"speculative_fraction\": {:.4}, \"pipelined_batches\": {}, \"cross_batch_invalidated\": {}, \"dirty_recomputes\": {}}}{}\n",
                 r.threads,
-                r.pipelined(),
-                r.depth,
                 r.seconds,
                 serial_s / r.seconds,
                 r.speculative_fraction,
@@ -663,8 +639,8 @@ fn eco_json() {
         ));
     }
     println!(
-        "  legal_after={legal_after}  index_rebuilds={}  density_rebuilds={}  store_recaptures={}",
-        stats.index_rebuilds, stats.density_rebuilds, stats.store_recaptures
+        "  legal_after={legal_after}  index_rebuilds={}  density_rebuilds={}",
+        stats.index_rebuilds, stats.density_rebuilds
     );
 
     assert!(legal_after, "design must stay legal after the delta stream");
@@ -679,8 +655,8 @@ fn eco_json() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"eco_latency\",\n  \"unit\": \"microseconds per delta\",\n  \"cells\": {cells},\n  \"deltas\": {deltas},\n  \"bootstrap_seconds\": {warmup_s:.3},\n  \"legal_after\": {legal_after},\n  \"index_rebuilds\": {},\n  \"density_rebuilds\": {},\n  \"store_recaptures\": {},\n  \"kinds\": [\n{kinds_json}  ]\n}}\n",
-        stats.index_rebuilds, stats.density_rebuilds, stats.store_recaptures
+        "{{\n  \"bench\": \"eco_latency\",\n  \"unit\": \"microseconds per delta\",\n  \"cells\": {cells},\n  \"deltas\": {deltas},\n  \"bootstrap_seconds\": {warmup_s:.3},\n  \"legal_after\": {legal_after},\n  \"index_rebuilds\": {},\n  \"density_rebuilds\": {},\n  \"kinds\": [\n{kinds_json}  ]\n}}\n",
+        stats.index_rebuilds, stats.density_rebuilds
     );
     let path = std::env::var("FLEX_BENCH_ECO_OUT").unwrap_or_else(|_| "BENCH_eco.json".to_string());
     std::fs::write(&path, &json).expect("write BENCH_eco.json");
@@ -728,8 +704,7 @@ fn obs_json() {
     println!("--- observability overhead: enabled vs. disabled spans ({cells} cells, {threads}T, depth 2) ---");
     let run = |enabled: bool| -> (f64, u64) {
         flex_obs::set_enabled(enabled);
-        let engine =
-            ParallelMglLegalizer::new(threads, MglConfig::default()).with_pipeline_depth(2);
+        let engine = ParallelMglLegalizer::new(threads, MglConfig::default());
         let mut d = generate(&spec);
         let start = std::time::Instant::now();
         let out = engine.legalize(&mut d);

@@ -197,13 +197,11 @@ fn stats_to_json(stats: &EcoStats) -> Json {
             "density_rebuilds".into(),
             Json::Num(stats.density_rebuilds as f64),
         ),
-        (
-            "store_recaptures".into(),
-            Json::Num(stats.store_recaptures as f64),
-        ),
     ])
 }
 
+/// Read snapshot stats. Unknown keys are ignored, so snapshots from older writers still
+/// load: those carry a `store_recaptures` counter that no longer exists.
 fn stats_from_json(json: &Json) -> Result<EcoStats, String> {
     let num = |key: &str| -> Result<u64, String> {
         json.get(key)
@@ -236,7 +234,6 @@ fn stats_from_json(json: &Json) -> Result<EcoStats, String> {
         failed: num("failed")?,
         index_rebuilds: num("index_rebuilds")?,
         density_rebuilds: num("density_rebuilds")?,
-        store_recaptures: num("store_recaptures")?,
     })
 }
 

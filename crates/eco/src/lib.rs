@@ -5,9 +5,9 @@
 //! legal, a tool wants to nudge a handful of cells — move, insert, resize, remove — and
 //! wants the answer in microseconds, not a full re-run. This crate keeps a legalized
 //! design **resident**: the [`EcoEngine`] owns the design together with its warm
-//! acceleration structures (segment map, legalized index, density map, epoch cell store)
-//! and re-legalizes only the disturbed neighborhood of each delta, updating the
-//! structures point-wise instead of rebuilding them.
+//! acceleration structures (segment map, legalized index, density map) and re-legalizes
+//! only the disturbed neighborhood of each delta, updating the structures point-wise
+//! instead of rebuilding them.
 //!
 //! The service layer ([`EcoServer`]/[`EcoClient`]) puts that engine behind a
 //! Unix-domain socket with a length-prefixed JSON protocol, so external tools can hold a

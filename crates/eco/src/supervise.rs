@@ -1103,7 +1103,6 @@ mod tests {
             fallbacks: 0,
             failed: 0,
             latency: Duration::ZERO,
-            epoch: 0,
         };
         assert_eq!(dirty_rows(&report), None);
         report.outcomes.push(DeltaOutcome {

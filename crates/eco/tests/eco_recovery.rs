@@ -13,12 +13,13 @@
 //! append is replayed fully or dropped cleanly, never half-applied.
 
 use flex_eco::journal::{recover_engine, Journal, JournalConfig};
+use flex_eco::json::Json;
 use flex_eco::{EcoDelta, EcoEngine, EcoStats};
 use flex_mgl::config::MglConfig;
 use flex_placement::benchmark::{generate, BenchmarkSpec};
 use flex_placement::cell::CellId;
 use flex_placement::layout::Design;
-use flex_placement::snapshot::write_design;
+use flex_placement::snapshot::{crc32, write_design};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -352,4 +353,67 @@ fn fresh_directory_recovers_to_nothing_and_shutdown_snapshot_restores_instantly(
     assert_eq!(bytes, expected);
     assert_eq!(stats, EcoStats::default());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrite a snapshot file's header with one extra numeric key in its stats object. The
+/// file layout is `[header length u32 LE][header CRC-32 u32 LE][header JSON][design image]`.
+fn add_snapshot_stats_key(path: &Path, key: &str, value: f64) {
+    let bytes = std::fs::read(path).unwrap();
+    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+    let mut header = Json::parse(std::str::from_utf8(&bytes[8..8 + len]).unwrap()).unwrap();
+    let Json::Obj(fields) = &mut header else {
+        panic!("snapshot header is not an object")
+    };
+    let Some((_, Json::Obj(stats))) = fields.iter_mut().find(|(k, _)| k == "stats") else {
+        panic!("snapshot header has no stats object")
+    };
+    assert!(stats.iter().all(|(k, _)| k != key), "{key} already present");
+    stats.push((key.to_string(), Json::Num(value)));
+    let header = header.to_string().into_bytes();
+    let mut out = Vec::new();
+    out.extend_from_slice(&(header.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&header).to_le_bytes());
+    out.extend_from_slice(&header);
+    out.extend_from_slice(&bytes[8 + len..]);
+    std::fs::write(path, out).unwrap();
+}
+
+#[test]
+fn snapshot_stats_with_and_without_store_recaptures_recover_identically() {
+    // older writers stored a `store_recaptures` counter in the snapshot stats; recovery
+    // must ignore it when present and not require it
+    let mut t = twins("legacy-stats", 5, 40, 16);
+    let batches = std::mem::take(&mut t.batches);
+    for batch in &batches {
+        t.journal.append(batch).unwrap();
+        let journaled_result = t.journaled.apply(batch).is_ok();
+        t.journal
+            .maybe_snapshot(t.journaled.design(), t.journaled.stats())
+            .unwrap();
+        assert_eq!(journaled_result, t.reference.apply(batch).is_ok());
+    }
+
+    let legacy = t.dir.with_extension("legacy");
+    copy_dir(&t.dir, &legacy);
+    let mut snapshots = 0;
+    for entry in std::fs::read_dir(&legacy).unwrap().flatten() {
+        let path = entry.path();
+        if path.extension().is_some_and(|e| e == "ecosnap") {
+            add_snapshot_stats_key(&path, "store_recaptures", 7.0);
+            snapshots += 1;
+        }
+    }
+    assert!(snapshots > 0, "the journal must have written a snapshot");
+
+    let current = recover_state(&t.dir);
+    let old_format = recover_state(&legacy);
+    assert_eq!(current.2, batches.len() as u64);
+    assert_eq!(current.0, design_bytes(t.reference.design()));
+    assert_eq!(&current.1, t.reference.stats());
+    assert_eq!(
+        old_format, current,
+        "a snapshot carrying store_recaptures must recover to the same engine state"
+    );
+    let _ = std::fs::remove_dir_all(&legacy);
+    let _ = std::fs::remove_dir_all(&t.dir);
 }

@@ -69,8 +69,7 @@ impl FlexAccelerator {
         let host_span = flex_obs::span!("flex.host_legalize");
         let (result, shards) = if self.config.host_threads > 1 {
             let engine =
-                ParallelMglLegalizer::new(self.config.host_threads, self.config.mgl_config())
-                    .with_pipelining(self.config.host_pipelining);
+                ParallelMglLegalizer::new(self.config.host_threads, self.config.mgl_config());
             let out = engine.legalize(design);
             (out.result, Some(out.shards))
         } else {

@@ -89,14 +89,6 @@ pub struct FlexConfig {
     /// legalization runs on `flex_mgl::parallel::ParallelMglLegalizer`, overlapping region
     /// extraction and FOP across row shards while producing the exact serial placement.
     pub host_threads: usize,
-    /// Epoch-pipelined batch speculation of the parallel host engine: speculate upcoming
-    /// batches against epoch snapshots while earlier batches commit. Placement-neutral; only
-    /// meaningful when `host_threads > 1`.
-    pub host_pipelining: bool,
-    /// Pipeline depth of the parallel host engine: the maximum number of in-flight epochs
-    /// (up to `depth − 1` batches speculating while one commits). Only meaningful with
-    /// `host_pipelining`; values below 2 are raised to 2 there. Placement-neutral.
-    pub host_pipeline_depth: usize,
     /// Bound on the ECO service's request queue (`flex-eco-serve`): at most this many decoded
     /// client requests wait for the single resident engine before accept threads block.
     pub eco_queue_capacity: usize,
@@ -120,8 +112,6 @@ impl Default for FlexConfig {
             link: LinkModel::default(),
             pe_sync_cycles: 6,
             host_threads: 1,
-            host_pipelining: true,
-            host_pipeline_depth: 2,
             eco_queue_capacity: 1024,
             eco_validate_boundary: true,
         }
@@ -186,22 +176,6 @@ impl FlexConfig {
     /// CPU-side steps (a)–(c) on the region-sharded parallel engine.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.host_threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable the parallel host engine's batch pipelining (builder style).
-    pub fn with_host_pipelining(mut self, pipelined: bool) -> Self {
-        self.host_pipelining = pipelined;
-        self
-    }
-
-    /// Set the parallel host engine's pipeline depth — the maximum number of in-flight
-    /// epochs (builder style). Enables pipelining for depths above 1 and disables it for
-    /// depth 1, mirroring the engine's semantics.
-    pub fn with_host_pipeline_depth(mut self, depth: usize) -> Self {
-        let depth = depth.max(1);
-        self.host_pipeline_depth = depth.max(2);
-        self.host_pipelining = depth > 1;
         self
     }
 

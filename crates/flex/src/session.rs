@@ -84,14 +84,10 @@ impl EngineKind {
     pub fn build(self, config: &FlexConfig) -> Box<dyn Legalizer> {
         match self {
             EngineKind::MglSerial => Box::new(MglLegalizer::new(config.mgl_config())),
-            EngineKind::MglParallel => Box::new(
-                ParallelMglLegalizer::new(config.host_threads.max(1), config.mgl_config())
-                    .with_pipeline_depth(if config.host_pipelining {
-                        config.host_pipeline_depth.max(2)
-                    } else {
-                        1
-                    }),
-            ),
+            EngineKind::MglParallel => Box::new(ParallelMglLegalizer::new(
+                config.host_threads.max(1),
+                config.mgl_config(),
+            )),
             EngineKind::CpuMgl => Box::new(CpuLegalizer::new(config.host_threads.max(1))),
             EngineKind::CpuGpu => Box::new(CpuGpuLegalizer::default()),
             EngineKind::Analytical => Box::new(AnalyticalLegalizer::default()),

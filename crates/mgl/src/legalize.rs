@@ -483,7 +483,7 @@ pub(crate) fn accumulate_work(into: &mut RegionWork, from: &RegionWork) {
 
 /// The design writes a verified placement implies: every shifted localCell's new x plus the
 /// target's committed position. Computing the plan is pure (no design access), which is what
-/// lets the parallel engine run FOP + verification speculatively on a shared `&Design` and
+/// lets the parallel engine run FOP + verification speculatively on a read-only snapshot and
 /// serialize only the (cheap) application.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitPlan {
