@@ -139,8 +139,31 @@ pub struct FopScratch {
     pub(crate) commit_pos: Vec<i64>,
     /// Span-verification buffer for commit planning.
     pub(crate) commit_spans: Vec<Interval>,
-    /// Insertion-point enumeration buffers (point slots, chain pool, anchors, row lists).
+    /// Insertion-point enumeration buffers (point slots, chain pool, anchors).
     insertion: InsertionScratch,
+}
+
+/// The FOP operator clock: each lap charges the time since the previous operator boundary
+/// to the operator that just ended. That is one clock read per boundary, and every
+/// nanosecond between the start and the last lap lands in some operator.
+struct OpClock<'a> {
+    stats: &'a mut FopOpStats,
+    last: Instant,
+}
+
+impl<'a> OpClock<'a> {
+    fn start(stats: &'a mut FopOpStats) -> Self {
+        Self {
+            stats,
+            last: Instant::now(),
+        }
+    }
+
+    fn lap(&mut self, op: FopOperator) {
+        let now = Instant::now();
+        self.stats.add(op, now - self.last);
+        self.last = now;
+    }
 }
 
 thread_local! {
@@ -166,24 +189,22 @@ impl FopScratch {
         })
     }
 
-    /// Prepare the per-region state: the shift kernel's Ahead Sorter, the per-cell anchor
-    /// displacements and the target curve.
+    /// Prepare the per-region state: the shift kernel's row index (the Ahead Sorter), the
+    /// per-cell anchor displacements and the target curve.
     fn begin_region(
         &mut self,
         region: &LocalRegion,
         target: &TargetSpec,
         config: &MglConfig,
-        op_stats: &mut FopOpStats,
+        clock: &mut OpClock<'_>,
     ) {
         // the Ahead Sorter is the SACS presort; the original algorithm's kernel sorts the
         // same way, and there the sort is part of its cell shifting
-        let t_sort = Instant::now();
         self.shift.begin_region(region);
-        let op = match config.shift {
+        clock.lap(match config.shift {
             ShiftAlgorithm::Original => FopOperator::CellShift,
             ShiftAlgorithm::Sacs => FopOperator::Presort,
-        };
-        op_stats.add(op, t_sort.elapsed());
+        });
         self.anchor_disp.clear();
         self.anchor_disp
             .extend(region.cells.iter().map(|c| (c.x as f64 - c.gx).abs()));
@@ -208,8 +229,10 @@ pub fn find_optimal_position(
 
 /// Evaluate every insertion point of `region` with the given scratch arena and return the
 /// optimal placement. Bit-identical to [`reference::find_optimal_position`] in placements,
-/// costs and work counters; only wall-clock operator stats differ (they measure the faster
-/// kernel, and the SACS presort is attributed once per region instead of once per point).
+/// costs and work counters; only wall-clock operator stats differ. They measure the faster
+/// kernel, the SACS presort is attributed once per region instead of once per point, and
+/// the operator clock charges every nanosecond of the call to some operator (the
+/// reference times each operator alone and leaves the time between them unattributed).
 pub fn find_optimal_position_with(
     region: &LocalRegion,
     target: &TargetSpec,
@@ -226,12 +249,14 @@ pub fn find_optimal_position_with(
     work.tall_cells = region.num_tall_cells(3) as u64;
     work.segments = region.segments.len() as u64;
 
+    let mut clock = OpClock::start(op_stats);
+    scratch.begin_region(region, target, config, &mut clock);
     // take the enumeration buffers out of the scratch so the per-point evaluation can borrow
     // the rest of it mutably; the allocations go back afterwards
     let mut insertion = std::mem::take(&mut scratch.insertion);
-    let t_enum = Instant::now();
     let n_points = enumerate_insertion_points_into(
         region,
+        &scratch.shift.rows,
         target.width,
         target.height,
         target.parity,
@@ -239,15 +264,13 @@ pub fn find_optimal_position_with(
         config.max_insertion_points,
         &mut insertion,
     );
-    op_stats.add(FopOperator::Other, t_enum.elapsed());
+    clock.lap(FopOperator::Other);
     work.insertion_points = n_points as u64;
-
-    scratch.begin_region(region, target, config, op_stats);
 
     let mut best: Option<(i64, f64, usize)> = None; // (x, cost, point index)
     for (idx, point) in insertion.points().iter().enumerate() {
         if let Some((x, cost)) =
-            evaluate_point_with(region, target, point, config, op_stats, work, scratch)
+            evaluate_point_with(region, target, point, config, &mut clock, work, scratch)
         {
             work.feasible_points += 1;
             let better = match best {
@@ -269,18 +292,20 @@ pub fn find_optimal_position_with(
         }
     });
     scratch.insertion = insertion;
+    clock.lap(FopOperator::Other);
     outcome
 }
 
 /// Evaluate one insertion point against the scratch arena: shift into the reusable outcome
-/// buffers, rebuild the pooled curves in place, run the breakpoint pipeline on the reusable
-/// vectors. Returns `(best x, cost)` or `None` if the point turned out infeasible.
+/// buffers, rebuild the pooled curves of the moved cells in place, run the breakpoint
+/// pipeline on the reusable vectors. Returns `(best x, cost)` or `None` if the point turned
+/// out infeasible.
 fn evaluate_point_with(
     region: &LocalRegion,
     target: &TargetSpec,
     point: &InsertionPoint,
     config: &MglConfig,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     work: &mut RegionWork,
     scratch: &mut FopScratch,
 ) -> Option<(i64, f64)> {
@@ -299,7 +324,6 @@ fn evaluate_point_with(
     } = scratch;
 
     // --- cell shifting at both extremes of the feasible range -----------------------------
-    let t_shift = Instant::now();
     let left_problem = ShiftProblem {
         region,
         point,
@@ -314,63 +338,62 @@ fn evaluate_point_with(
         target_height: target.height,
         target_x: point.x_hi,
     };
-    match config.shift {
-        ShiftAlgorithm::Original => {
-            shift_phase_original_with(&left_problem, Phase::Left, shift, left).ok()?;
-            shift_phase_original_with(&right_problem, Phase::Right, shift, right).ok()?;
-            work.shift_passes += (left.passes + right.passes) as u64;
+    // the phases short-circuit, and an infeasible point counts no work
+    let feasible = 'shift: {
+        match config.shift {
+            ShiftAlgorithm::Original => {
+                if shift_phase_original_with(&left_problem, Phase::Left, shift, left).is_err()
+                    || shift_phase_original_with(&right_problem, Phase::Right, shift, right)
+                        .is_err()
+                {
+                    break 'shift false;
+                }
+                work.shift_passes += (left.passes + right.passes) as u64;
+            }
+            ShiftAlgorithm::Sacs => {
+                let Ok(ls) =
+                    shift_phase_sacs_with_stats_into(&left_problem, Phase::Left, shift, left)
+                else {
+                    break 'shift false;
+                };
+                let Ok(rs) =
+                    shift_phase_sacs_with_stats_into(&right_problem, Phase::Right, shift, right)
+                else {
+                    break 'shift false;
+                };
+                work.shift_passes += 2;
+                work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
+                work.bound_queries += ls.bound_queries + rs.bound_queries;
+                work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
+            }
         }
-        ShiftAlgorithm::Sacs => {
-            let ls =
-                shift_phase_sacs_with_stats_into(&left_problem, Phase::Left, shift, left).ok()?;
-            let rs = shift_phase_sacs_with_stats_into(&right_problem, Phase::Right, shift, right)
-                .ok()?;
-            work.shift_passes += 2;
-            work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
-            work.bound_queries += ls.bound_queries + rs.bound_queries;
-            work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
-        }
+        work.subcell_visits += left.subcell_visits + right.subcell_visits;
+        true
+    };
+    clock.lap(FopOperator::CellShift);
+    if !feasible {
+        return None;
     }
-    work.subcell_visits += left.subcell_visits + right.subcell_visits;
-    op_stats.add(FopOperator::CellShift, t_shift.elapsed());
 
-    // --- displacement curves (pooled; target curve prebuilt per region) --------------------
-    let t_curves = Instant::now();
+    // --- displacement curves of the moved cells (pooled; target curve prebuilt per region) -
     curves.clear();
     for &(i, pos) in &left.positions {
         let c = &region.cells[i];
-        if pos != c.x {
-            // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
-            let s = point.x_lo - pos;
-            let curve = curves.next();
-            curve.set_left_cell(c.x as f64, c.gx, s as f64);
-            curve.anchor.1 -= anchor_disp[i];
-        }
+        // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
+        let s = point.x_lo - pos;
+        let curve = curves.next();
+        curve.set_left_cell(c.x as f64, c.gx, s as f64);
+        curve.anchor.1 -= anchor_disp[i];
     }
     for &(i, pos) in &right.positions {
         let c = &region.cells[i];
-        if pos != c.x {
-            let s = pos - (point.x_hi + target.width);
-            let curve = curves.next();
-            curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
-            curve.anchor.1 -= anchor_disp[i];
-        }
+        let s = pos - (point.x_hi + target.width);
+        let curve = curves.next();
+        curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
+        curve.anchor.1 -= anchor_disp[i];
     }
-    op_stats.add(FopOperator::Other, t_curves.elapsed());
-
-    // --- breakpoint pipeline ---------------------------------------------------------------
     let lo = point.x_lo as f64;
     let hi = point.x_hi as f64;
-    let t_sort_bp = Instant::now();
-    bps.clear();
-    bps.extend(target_curve.breakpoints.iter().copied());
-    for c in curves.iter() {
-        bps.extend(c.breakpoints.iter().copied());
-    }
-    bps.sort_by(|a, b| a.x.total_cmp(&b.x));
-    op_stats.add(FopOperator::SortBp, t_sort_bp.elapsed());
-    work.breakpoints += bps.len() as u64;
-
     let all_curves = || std::iter::once(&*target_curve).chain(curves.iter());
     let anchor_value: f64 = all_curves().map(|c| c.eval(lo)).sum();
     // total slope left of every breakpoint: the sum of each curve's initial slope
@@ -378,6 +401,18 @@ fn evaluate_point_with(
         .filter_map(|c| c.breakpoints.first())
         .map(|bp| bp.left_slope)
         .sum();
+    clock.lap(FopOperator::Other);
+
+    // --- breakpoint pipeline ---------------------------------------------------------------
+    bps.clear();
+    bps.extend(target_curve.breakpoints.iter().copied());
+    for c in curves.iter() {
+        bps.extend(c.breakpoints.iter().copied());
+    }
+    bps.sort_by(|a, b| a.x.total_cmp(&b.x));
+    clock.lap(FopOperator::SortBp);
+    work.breakpoints += bps.len() as u64;
+
     let (best_x, horiz_cost) = match config.fop {
         FopVariant::Original => original_pipeline_with(
             bps,
@@ -385,7 +420,7 @@ fn evaluate_point_with(
             anchor_value,
             lo,
             hi,
-            op_stats,
+            clock,
             merged,
             slopes_r,
             slopes_l,
@@ -396,7 +431,7 @@ fn evaluate_point_with(
             anchor_value,
             lo,
             hi,
-            op_stats,
+            clock,
             merged,
             slopes_r,
             slopes_l,
@@ -490,12 +525,11 @@ fn original_pipeline_with(
     anchor_value: f64,
     lo: f64,
     hi: f64,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     merged: &mut Vec<MergedBp>,
     slopes_r: &mut Vec<f64>,
     slopes_l: &mut Vec<f64>,
 ) -> (f64, f64) {
-    let t_merge = Instant::now();
     merged.clear();
     for bp in sorted {
         match merged.last_mut() {
@@ -510,21 +544,19 @@ fn original_pipeline_with(
             }),
         }
     }
-    op_stats.add(FopOperator::MergeBp, t_merge.elapsed());
+    clock.lap(FopOperator::MergeBp);
 
     // sum slopesR: forward traversal accumulating Σ (right − left) up to each breakpoint
-    let t_r = Instant::now();
     slopes_r.clear();
     let mut acc = 0.0;
     for m in merged.iter() {
         acc += m.right - m.left;
         slopes_r.push(acc);
     }
-    op_stats.add(FopOperator::SumSlopesR, t_r.elapsed());
+    clock.lap(FopOperator::SumSlopesR);
 
     // sum slopesL: backward traversal accumulating Σ (left − right) from each breakpoint on —
     // the suffix counterpart of slopesR (used by the value computation in its backward form).
-    let t_l = Instant::now();
     slopes_l.clear();
     slopes_l.resize(merged.len(), 0.0);
     let mut suffix = 0.0;
@@ -532,16 +564,15 @@ fn original_pipeline_with(
         suffix += merged[i].left - merged[i].right;
         slopes_l[i] = suffix;
     }
-    op_stats.add(FopOperator::SumSlopesL, t_l.elapsed());
+    clock.lap(FopOperator::SumSlopesL);
 
     // calculate value: integrate the slopes from the domain edge and pick the minimum
-    let t_val = Instant::now();
     debug_assert!(
         merged.is_empty() || slopes_balanced(*slopes_r.last().unwrap(), slopes_l[0]),
         "prefix and suffix slope sums must cancel"
     );
     let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    op_stats.add(FopOperator::CalcValue, t_val.elapsed());
+    clock.lap(FopOperator::CalcValue);
     result
 }
 
@@ -565,13 +596,12 @@ fn reorganized_pipeline_with(
     anchor_value: f64,
     lo: f64,
     hi: f64,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     merged: &mut Vec<MergedBp>,
     slopes_r: &mut Vec<f64>,
     slopes_l: &mut Vec<f64>,
 ) -> (f64, f64) {
     // fwdtraverse: merge on the fly while accumulating the right-slope prefix sums
-    let t_fwd = Instant::now();
     merged.clear();
     slopes_r.clear();
     let mut acc = 0.0;
@@ -594,10 +624,9 @@ fn reorganized_pipeline_with(
             }
         }
     }
-    op_stats.add(FopOperator::FwdTraverse, t_fwd.elapsed());
+    clock.lap(FopOperator::FwdTraverse);
 
     // bwdtraverse: suffix left-slope accumulation fused with the final value scan
-    let t_bwd = Instant::now();
     slopes_l.clear();
     slopes_l.resize(merged.len(), 0.0);
     let mut suffix = 0.0;
@@ -607,7 +636,7 @@ fn reorganized_pipeline_with(
     }
     let _ = &slopes_l;
     let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    op_stats.add(FopOperator::BwdTraverse, t_bwd.elapsed());
+    clock.lap(FopOperator::BwdTraverse);
     result
 }
 
@@ -1154,7 +1183,7 @@ mod tests {
                 anchor,
                 lo,
                 hi,
-                &mut st,
+                &mut OpClock::start(&mut st),
                 &mut merged,
                 &mut sr,
                 &mut sl,
@@ -1166,7 +1195,7 @@ mod tests {
                 anchor,
                 lo,
                 hi,
-                &mut st,
+                &mut OpClock::start(&mut st),
                 &mut merged,
                 &mut sr,
                 &mut sl,

@@ -8,7 +8,7 @@
 //! x-range of the target's left edge follows from the cumulative widths of the cells that would
 //! have to be pushed aside.
 
-use crate::region::LocalRegion;
+use crate::region::{LocalRegion, RowIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -65,9 +65,9 @@ fn rounded_anchor(anchor_x: f64) -> i64 {
 }
 
 /// Reusable buffers for [`enumerate_insertion_points_into`]: the resolved points (slots are
-/// rebuilt in place), a recycling pool for the points' chain vectors, and the per-row /
-/// anchor working sets. One instance per legalizer (it lives inside `fop::FopScratch`)
-/// removes the last per-target allocations of the FOP hot path.
+/// rebuilt in place), a recycling pool for the points' chain vectors, and the anchor working
+/// set. One instance per legalizer (it lives inside `fop::FopScratch`) removes the last
+/// per-target allocations of the FOP hot path.
 #[derive(Debug, Clone, Default)]
 pub struct InsertionScratch {
     /// Point slots; `[..len]` hold the current region's resolved points.
@@ -78,8 +78,6 @@ pub struct InsertionScratch {
     spare: Vec<Vec<usize>>,
     /// Candidate anchor x-coordinates of one bottom row.
     anchors: Vec<i64>,
-    /// Per-segment localCell lists (parallel to `region.segments`), sorted by x.
-    row_cells: Vec<Vec<usize>>,
 }
 
 impl InsertionScratch {
@@ -92,11 +90,14 @@ impl InsertionScratch {
 /// [`enumerate_insertion_points`] writing into a reusable [`InsertionScratch`]: identical
 /// points in identical order (the differential suite checks this on random regions), but
 /// after warm-up the enumeration performs no allocation — point slots, chain vectors and the
-/// anchor/row working sets are all recycled.
+/// anchor working set are all recycled. The per-row cell lists come from `rows`, which must
+/// have been built for `region` (the shifting kernels read the same index).
 ///
 /// Returns the number of points resolved; read them via [`InsertionScratch::points`].
+#[allow(clippy::too_many_arguments)]
 pub fn enumerate_insertion_points_into(
     region: &LocalRegion,
+    rows: &RowIndex,
     width: i64,
     height: i64,
     parity: Option<u8>,
@@ -109,18 +110,8 @@ pub fn enumerate_insertion_points_into(
         len,
         spare,
         anchors,
-        row_cells,
     } = scratch;
     *len = 0;
-
-    // per-segment localCell lists (sorted by x), computed once per region into reused buffers
-    for (i, seg) in region.segments.iter().enumerate() {
-        if i < row_cells.len() {
-            region.cells_in_row_into(seg.row, &mut row_cells[i]);
-        } else {
-            row_cells.push(region.cells_in_row(seg.row));
-        }
-    }
 
     'rows: for seg_idx in 0..region.segments.len() {
         let bottom = region.segments[seg_idx].row;
@@ -144,7 +135,7 @@ pub fn enumerate_insertion_points_into(
             let seg = &region.segments[si];
             anchors.push(seg.span.lo);
             anchors.push(seg.span.hi);
-            for &ci in &row_cells[si] {
+            for &ci in rows.row(si) {
                 let c = &region.cells[ci];
                 anchors.push(c.x);
                 anchors.push(c.right());
@@ -178,7 +169,7 @@ pub fn enumerate_insertion_points_into(
             for r in bottom..bottom + height {
                 let si = region.segment_index(r).expect("checked above");
                 let seg = &region.segments[si];
-                let in_row = &row_cells[si];
+                let in_row = rows.row(si);
                 // split the row at the anchor: cells whose centre is left of the anchor go to
                 // the left chain, the rest to the right chain
                 let split = in_row
@@ -477,6 +468,8 @@ mod tests {
     #[test]
     fn scratch_enumeration_matches_the_allocating_oracle() {
         let r = region();
+        let mut rows = RowIndex::default();
+        rows.build(&r);
         let mut scratch = InsertionScratch::default();
         // reuse one scratch across every shape so slot/chain recycling is exercised
         for (w, h, parity, anchor, cap) in [
@@ -490,7 +483,8 @@ mod tests {
             (5, 2, None, 30.0, 100),
         ] {
             let expect = enumerate_insertion_points(&r, w, h, parity, anchor, cap);
-            let n = enumerate_insertion_points_into(&r, w, h, parity, anchor, cap, &mut scratch);
+            let n =
+                enumerate_insertion_points_into(&r, &rows, w, h, parity, anchor, cap, &mut scratch);
             assert_eq!(n, expect.len(), "w={w} h={h} parity={parity:?}");
             assert_eq!(
                 scratch.points(),

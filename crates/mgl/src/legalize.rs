@@ -550,10 +550,18 @@ pub fn plan_commit_with(
         }
     }
 
+    // both outcomes list only moved cells. A cell outside both chains takes part in both
+    // phases, and its right-move position wins, so a left-move push counts only for the
+    // left chain, the right-move phase's statics.
     commit_pos.clear();
     commit_pos.extend(region.cells.iter().map(|c| c.x));
-    for (i, x) in left.positions.iter().chain(right.positions.iter()) {
-        commit_pos[*i] = *x;
+    for &(i, x) in &left.positions {
+        if shift.is_static(i) {
+            commit_pos[i] = x;
+        }
+    }
+    for &(i, x) in &right.positions {
+        commit_pos[i] = x;
     }
 
     // verification: per segment row, no overlaps among localCells and the target, and every

@@ -340,7 +340,7 @@ impl LocalRegion {
 
         // 2./3. iterate: classify cells as local (fully inside) or blocking (partially inside);
         // blocking cells carve the segments, which may demote further cells.
-        let mut local_ids: Vec<usize> = Vec::new();
+        let mut is_local: Vec<bool> = Vec::new();
         for _ in 0..4 {
             let is_contained = |c: &flex_placement::cell::Cell, segs: &[LocalSegment]| {
                 c.rows().all(|r| {
@@ -350,19 +350,15 @@ impl LocalRegion {
                         .unwrap_or(false)
                 })
             };
-            local_ids = obstacles
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| is_contained(c, &segs))
-                .map(|(i, _)| i)
-                .collect();
+            is_local.clear();
+            is_local.extend(obstacles.iter().map(|c| is_contained(c, &segs)));
             // carve segments with every non-local obstacle that still overlaps them
             let mut changed = false;
             let mut new_segs = Vec::with_capacity(segs.len());
             for seg in &segs {
                 let mut pieces = vec![seg.span];
-                for (i, c) in obstacles.iter().enumerate() {
-                    if local_ids.contains(&i) {
+                for (c, &local) in obstacles.iter().zip(&is_local) {
+                    if local {
                         continue;
                     }
                     if !c.y_interval().contains(seg.row) {
@@ -397,18 +393,17 @@ impl LocalRegion {
             }
         }
 
-        let cells: Vec<LocalCell> = local_ids
+        let cells: Vec<LocalCell> = obstacles
             .iter()
-            .map(|&i| {
-                let c = obstacles[i];
-                LocalCell {
-                    id: c.id,
-                    x: c.x,
-                    y: c.y,
-                    width: c.width,
-                    height: c.height,
-                    gx: c.gx,
-                }
+            .zip(&is_local)
+            .filter(|(_, &local)| local)
+            .map(|(c, _)| LocalCell {
+                id: c.id,
+                x: c.x,
+                y: c.y,
+                width: c.width,
+                height: c.height,
+                gx: c.gx,
             })
             .collect();
 
@@ -453,25 +448,14 @@ impl LocalRegion {
         self.segments.iter().map(|s| s.row).collect()
     }
 
-    /// Indices (into [`Self::cells`]) of localCells occupying `row`, sorted by x.
+    /// Indices (into [`Self::cells`]) of localCells occupying `row`, sorted by x (ties by
+    /// index). Scans every cell; hot paths read the lists of a [`RowIndex`] instead.
     pub fn cells_in_row(&self, row: i64) -> Vec<usize> {
-        let mut v = Vec::new();
-        self.cells_in_row_into(row, &mut v);
+        let mut v: Vec<usize> = (0..self.cells.len())
+            .filter(|&i| self.cells[i].rows().any(|r| r == row))
+            .collect();
+        v.sort_by_key(|&i| self.cells[i].x);
         v
-    }
-
-    /// [`Self::cells_in_row`] writing into a caller-provided buffer (cleared first), so hot
-    /// paths can reuse the allocation across rows and regions.
-    pub fn cells_in_row_into(&self, row: i64, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.cells
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.rows().any(|r| r == row))
-                .map(|(i, _)| i),
-        );
-        out.sort_by_key(|&i| self.cells[i].x);
     }
 
     /// Number of localCells strictly taller than `rows` rows (drives the Fig. 9 bandwidth study).
@@ -509,6 +493,50 @@ impl LocalRegion {
             }
         }
         false
+    }
+}
+
+/// The per-row localCell lists of one region, built once per region and read by both the
+/// insertion-point enumeration and the shifting kernels.
+///
+/// [`RowIndex::row`] is, per segment, the cells occupying that row sorted by `(x, index)`
+/// (the order of the SACS Ahead Sorter), which equals [`LocalRegion::cells_in_row`] of the
+/// segment's row. The buffers are reused across regions.
+#[derive(Debug, Clone, Default)]
+pub struct RowIndex {
+    /// Every cell index sorted by `(x, index)`: the order the row lists are filled in.
+    order: Vec<usize>,
+    rows: Vec<Vec<usize>>,
+    segments: usize,
+}
+
+impl RowIndex {
+    /// Rebuild the index for `region`.
+    pub fn build(&mut self, region: &LocalRegion) {
+        let cells = &region.cells;
+        self.order.clear();
+        self.order.extend(0..cells.len());
+        self.order.sort_unstable_by_key(|&i| (cells[i].x, i));
+        self.segments = region.segments.len();
+        if self.rows.len() < self.segments {
+            self.rows.resize_with(self.segments, Vec::new);
+        }
+        for row in &mut self.rows[..self.segments] {
+            row.clear();
+        }
+        for &i in &self.order {
+            for r in cells[i].rows() {
+                if let Some(s) = region.segment_index(r) {
+                    self.rows[s].push(i);
+                }
+            }
+        }
+    }
+
+    /// The cells occupying segment `seg`'s row, sorted by `(x, index)`.
+    pub fn row(&self, seg: usize) -> &[usize] {
+        assert!(seg < self.segments, "segment {seg} out of range");
+        &self.rows[seg]
     }
 }
 

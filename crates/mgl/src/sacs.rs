@@ -18,11 +18,16 @@
 //!
 //! - **The Ahead Sorter.** [`ShiftScratch::begin_region`] sorts the localCells by
 //!   `(x, index)` once per region and lays out every segment's row list in that order; the
-//!   traversal and static-edge lists of each problem are read off it in phase order.
-//! - **The streamed output.** Final positions are emitted in Ahead-Sorter order (descending
-//!   for the left-move phase, ascending for the right-move phase) straight from the sorted
-//!   cell list, and the work profile (cells fed through the sorter, CSP/CSE queries) comes
-//!   from the region's subcell totals minus those of the phase's static cells.
+//!   traversal and static-edge lists of a problem are read off it in phase order, for the
+//!   rows the problem sweeps.
+//! - **The streamed output.** The stream holds only the cells the phase moved, in
+//!   Ahead-Sorter order (descending for the left-move phase, ascending for the right-move
+//!   phase): a cell left in place contributes nothing to the displacement curves or the
+//!   commit, so its position is not sent. The allocating oracle streams every participant;
+//!   its entries with a changed position are the kernel's stream, in the same order. The
+//!   work profile (cells fed through the sorter, CSP/CSE queries) still counts every
+//!   participant: it comes from the region's subcell totals minus those of the phase's
+//!   static cells.
 //!
 //! What it keeps: the positions are resolved with the canonical push order of Algorithm 3
 //! ([`shift_phase_original_with`](crate::shift::shift_phase_original_with), the list-order
@@ -103,10 +108,11 @@ pub fn shift_phase_sacs_with_stats(
 }
 
 /// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions on the
-/// scratch buffers, then streams them into the caller's `out` buffer in Ahead-Sorter order
-/// (skipping the phase's static cells) and derives the SACS work profile from the region's
-/// subcell totals. Requires [`ShiftScratch::begin_region`] to have been called for
-/// `problem.region`. Bit-identical to the allocating function.
+/// scratch buffers, then streams the moved cells into the caller's `out` buffer in
+/// Ahead-Sorter order and derives the SACS work profile from the region's subcell totals.
+/// Requires [`ShiftScratch::begin_region`] to have been called for `problem.region`.
+/// Bit-identical to the allocating function on the moved cells (those whose position
+/// differs from the region's), which is all `out.positions` lists.
 pub fn shift_phase_sacs_with_stats_into(
     problem: &ShiftProblem<'_>,
     phase: Phase,
@@ -114,26 +120,17 @@ pub fn shift_phase_sacs_with_stats_into(
     out: &mut ShiftOutcome,
 ) -> Result<SacsStats, Infeasible> {
     resolve_with(problem, phase, scratch)?;
+    scratch.emit_moved(&problem.region.cells, Some(phase), out);
     let ShiftScratch {
-        pos,
-        statics,
-        order,
         subcells,
         static_subcells,
         ..
     } = scratch;
-
-    let stream = |i: &usize| (!statics[*i]).then(|| (*i, pos[*i]));
-    out.positions.clear();
-    match phase {
-        Phase::Left => out.positions.extend(order.iter().rev().filter_map(stream)),
-        Phase::Right => out.positions.extend(order.iter().filter_map(stream)),
-    }
     let bound_queries = subcells.all - static_subcells.all;
     out.passes = 1;
     out.subcell_visits = bound_queries;
     Ok(SacsStats {
-        sorted_cells: order.len() as u64,
+        sorted_cells: problem.region.cells.len() as u64,
         bound_queries,
         tall_bound_queries: subcells.tall - static_subcells.tall,
     })
@@ -151,7 +148,7 @@ pub fn shift_phase_sacs(
 mod tests {
     use super::*;
     use crate::insertion::{enumerate_insertion_points_into, InsertionPoint, InsertionScratch};
-    use crate::region::{LocalCell, LocalRegion, LocalSegment};
+    use crate::region::{LocalCell, LocalRegion, LocalSegment, RowIndex};
     use flex_placement::cell::CellId;
     use flex_placement::geom::{Interval, Rect};
     use rand::rngs::StdRng;
@@ -165,9 +162,12 @@ mod tests {
         anchor_x: f64,
         max_points: usize,
     ) -> Vec<InsertionPoint> {
+        let mut rows = RowIndex::default();
+        rows.build(region);
         let mut scratch = InsertionScratch::default();
         enumerate_insertion_points_into(
             region,
+            &rows,
             width,
             height,
             None,

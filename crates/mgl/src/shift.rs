@@ -11,9 +11,16 @@
 //! moved in one row can create an overlap in another row that the current pass has already
 //! visited. The number of passes is unpredictable, which is exactly the property FLEX's SACS
 //! algorithm (see [`crate::sacs`]) removes.
+//!
+//! The allocating [`shift_phase_original`] is the reference. The scratch kernel
+//! ([`shift_phase_original_with`]) computes the same fixpoint but sweeps a row only when the
+//! sweep can move a cell: the target rows and rows whose cells overlap or leave their
+//! segment in pass 1, then only rows a push reached (a pushed multi-row cell marks its other
+//! rows dirty) or rows whose last sweep passed a static edge too early. It reports only the
+//! cells it moved.
 
 use crate::insertion::InsertionPoint;
-use crate::region::LocalRegion;
+use crate::region::{LocalCell, LocalRegion, RowIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -77,7 +84,8 @@ impl<'a> ShiftProblem<'a> {
 /// Result of one shifting phase.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShiftOutcome {
-    /// `(cell index in region, final x)` for every cell the phase considered, in output order.
+    /// `(cell index in region, final x)` in output order: every cell the phase considered
+    /// (allocating functions), or only the cells it moved (scratch kernels).
     pub positions: Vec<(usize, i64)>,
     /// Number of full traversal passes (always 1 for SACS).
     pub passes: u32,
@@ -86,14 +94,6 @@ pub struct ShiftOutcome {
 }
 
 impl ShiftOutcome {
-    /// Final position of a cell, if the phase touched it.
-    pub fn position_of(&self, cell: usize) -> Option<i64> {
-        self.positions
-            .iter()
-            .find(|(c, _)| *c == cell)
-            .map(|(_, x)| *x)
-    }
-
     /// The positions as a map keyed by region cell index.
     pub fn as_map(&self) -> std::collections::BTreeMap<usize, i64> {
         self.positions.iter().copied().collect()
@@ -118,15 +118,32 @@ impl<T> SegLists<T> {
         self.len = n;
     }
 
-    fn get(&self, i: usize) -> &[T] {
-        debug_assert!(i < self.len);
-        &self.lists[i]
-    }
-
     fn get_mut(&mut self, i: usize) -> &mut Vec<T> {
         debug_assert!(i < self.len);
         &mut self.lists[i]
     }
+}
+
+/// The part a cell plays in one shifting phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Role {
+    /// Neither chain: pushed only as a positional obstacle in non-target rows.
+    #[default]
+    Free,
+    /// The phase's own chain.
+    Mover,
+    /// The opposite chain: an immovable obstacle.
+    Static,
+}
+
+/// Per-segment sweep state of one problem.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowState {
+    /// The next pass must sweep this row: a cell in it moved after its last sweep, or that
+    /// sweep pushed a cell past a static edge it had not folded.
+    dirty: bool,
+    /// The row's traversal and static-edge lists are built.
+    built: bool,
 }
 
 /// Reusable buffers for the shifting phases: one instance per engine (or per worker thread)
@@ -135,32 +152,41 @@ impl<T> SegLists<T> {
 /// Usage contract: call [`ShiftScratch::begin_region`] once per [`LocalRegion`], then any
 /// number of [`shift_phase_original_with`] /
 /// [`shift_phase_sacs_with_stats_into`](crate::sacs::shift_phase_sacs_with_stats_into) calls
-/// against that region. `begin_region` builds the SACS Ahead Sorter once per region: the cell
-/// indices sorted by `(x, index)`, every segment's row list in that order, and the region's
-/// subcell totals. The phase bitmaps replace the reference implementation's per-problem
-/// `BTreeSet`s. Results are bit-identical to the allocating functions (same traversal
-/// orders, same arithmetic).
+/// against that region. `begin_region` builds the region's [`RowIndex`] (the SACS Ahead
+/// Sorter and every segment's row list in that order), the region's subcell totals and the
+/// per-row cleanliness flags once per region. A problem then costs time in the cells it
+/// touches, not in the region: it marks its chains' roles, sweeps only the rows a push can
+/// reach (see [`shift_phase_original_with`]), and the next problem undoes exactly the marks
+/// and moves the last one made. Results are bit-identical to the allocating functions (same
+/// traversal orders, same arithmetic), except that the outcome lists only the moved cells.
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
-    /// Working x positions, indexed by region cell index.
-    pub(crate) pos: Vec<i64>,
-    /// Membership bitmap of the phase's static (opposite-chain) cells.
-    pub(crate) statics: Vec<bool>,
-    /// Membership bitmap of the phase's designated movers (own chain).
-    movers: Vec<bool>,
-    /// Region-lifetime: the Ahead Sorter, every cell index sorted by `(x, index)`.
-    pub(crate) order: Vec<usize>,
-    /// Region-lifetime: per segment, indices of the cells occupying that row, in
-    /// Ahead-Sorter order.
-    row_cells: SegLists<usize>,
+    /// Working x positions, indexed by region cell index; equal to the region's positions
+    /// except for the cells in [`Self::moved`].
+    pos: Vec<i64>,
+    /// Each cell's role in the current phase; `Free` except for the cells in `marked`.
+    roles: Vec<Role>,
+    /// Cells whose role the current problem set.
+    marked: Vec<usize>,
+    /// Cells the current problem moved, in first-push order until the output sorts them.
+    moved: Vec<usize>,
+    /// Region-lifetime: the Ahead Sorter and the per-segment row lists.
+    pub(crate) rows: RowIndex,
+    /// Region-lifetime: per segment, whether its cells at region positions are in span and
+    /// overlap-free (a sweep of such a row moves nothing until one of its cells moves).
+    row_clean: Vec<bool>,
+    /// Region-lifetime: total entries of all row lists.
+    row_entries: u64,
     /// Region-lifetime: subcells (occupied rows) of every cell, and of cells taller than 3
     /// rows.
     pub(crate) subcells: Subcells,
-    /// Region-lifetime: every cell is at least one site wide (the confirmation-pass skip
-    /// relies on it; see [`shift_phase_original_with`]).
+    /// Region-lifetime: every cell is at least one site wide (sparse sweeping relies on it;
+    /// see [`shift_phase_original_with`]).
     positive_widths: bool,
     /// Problem-lifetime: subcells of the phase's distinct static cells.
     pub(crate) static_subcells: Subcells,
+    /// Problem-lifetime: per segment, sweep state.
+    row_state: Vec<RowState>,
     /// Problem-lifetime: per segment, the movable traversal list in phase order (re-sorted
     /// by position only when a pass left it out of order).
     traverse: SegLists<usize>,
@@ -217,52 +243,102 @@ impl RegionKey {
 }
 
 impl ShiftScratch {
-    /// Build the Ahead Sorter for `region`: sort the cells by `(x, index)`, fill every
-    /// segment's row list in that order, and total the region's subcells. Must be called
-    /// before the scratch shifting functions are used on problems of that region.
+    /// Index `region`: build its [`RowIndex`], flag the clean rows and total the region's
+    /// subcells. Must be called before the scratch
+    /// shifting functions are used on problems of that region.
     pub fn begin_region(&mut self, region: &LocalRegion) {
         debug_assert!(
             region.segments.windows(2).all(|w| w[0].row < w[1].row),
             "LocalRegion segments must be sorted by row (see LocalRegion::segments)"
         );
         let cells = &region.cells;
-        self.order.clear();
-        self.order.extend(0..cells.len());
-        self.order.sort_unstable_by_key(|&i| (cells[i].x, i));
-        self.row_cells.reset(region.segments.len());
+        let n = cells.len();
+        self.rows.build(region);
         self.subcells = Subcells::default();
-        for &i in &self.order {
-            let c = &cells[i];
+        for c in cells {
             self.subcells.add(c.height);
-            for r in c.rows() {
-                if let Some(s) = region.segment_index(r) {
-                    self.row_cells.get_mut(s).push(i);
-                }
-            }
+        }
+        self.row_clean.clear();
+        self.row_entries = 0;
+        for (s, seg) in region.segments.iter().enumerate() {
+            let row = self.rows.row(s);
+            self.row_entries += row.len() as u64;
+            let in_span = row.iter().all(|&i| {
+                let c = &cells[i];
+                c.x >= seg.span.lo && c.right() <= seg.span.hi
+            });
+            let apart = row.windows(2).all(|w| cells[w[0]].right() <= cells[w[1]].x);
+            self.row_clean.push(in_span && apart);
         }
         self.positive_widths = cells.iter().all(|c| c.width > 0);
+        self.pos.clear();
+        self.pos.extend(cells.iter().map(|c| c.x));
+        self.roles.clear();
+        self.roles.resize(n, Role::Free);
+        self.marked.clear();
+        self.moved.clear();
         self.region_key = Some(RegionKey::of(region));
+    }
+
+    /// Whether cell `i` was a static (opposite-chain) cell of the last phase run.
+    pub(crate) fn is_static(&self, i: usize) -> bool {
+        self.roles[i] == Role::Static
+    }
+
+    /// Write the cells the last phase run moved, with their final positions, into `out`:
+    /// in ascending cell index (`stream: None`, the original algorithm's order) or in the
+    /// Ahead-Sorter order SACS streams a phase in (`Some(phase)`: descending for the
+    /// left-move, ascending for the right-move).
+    pub(crate) fn emit_moved(
+        &mut self,
+        cells: &[LocalCell],
+        stream: Option<Phase>,
+        out: &mut ShiftOutcome,
+    ) {
+        let Self { moved, pos, .. } = self;
+        let ahead = |&i: &usize| (cells[i].x, i);
+        match stream {
+            None => moved.sort_unstable(),
+            Some(Phase::Left) => moved.sort_unstable_by_key(|i| std::cmp::Reverse(ahead(i))),
+            Some(Phase::Right) => moved.sort_unstable_by_key(ahead),
+        }
+        out.positions.clear();
+        out.positions.extend(moved.iter().map(|&i| (i, pos[i])));
     }
 }
 
 /// Scratch twin of [`shift_phase_original`]: writes the outcome into `out` (positions vector
-/// reused, in ascending cell index) instead of allocating, and reads the Ahead Sorter
-/// prepared by [`ShiftScratch::begin_region`]. Produces bit-identical positions, passes and
-/// visit counts.
+/// reused) instead of allocating, and reads the row index prepared by
+/// [`ShiftScratch::begin_region`]. `out.positions` lists only the cells the phase moved, in
+/// ascending cell index; the reference lists every participant, and the moved ones (those
+/// with `x != region x`) carry identical positions in the same order. Passes and visit
+/// counts are bit-identical.
 ///
-/// Two facts let it skip work the reference does:
+/// The kernel sweeps a row only when the sweep can move a cell. The reference sweeps every
+/// row on every pass; a sweep the kernel skips would move nothing there, so positions,
+/// passes and `Err` agree. Three facts decide which sweeps can move something:
 ///
 /// - **In-row order.** A sweep keeps the x order of the cells it visits in a row: every
 ///   visited cell ends up behind the bound its predecessor left, and a cell at least one
 ///   site wide therefore strictly behind that predecessor. The traversal lists start in
-///   Ahead-Sorter order, and a pass re-sorts a row only when it finds the row out of order
+///   Ahead-Sorter order, and a sweep re-sorts a row only when it finds the row out of order
 ///   (a multi-row cell pushed in another row can overtake a neighbour).
-/// - **The confirmation pass.** After a pass that moved cells, the reference runs one more
-///   pass that moves nothing. That pass can move something only if a cell was pushed in a
-///   row above its bottom row (rows below, already swept, saw its old position) or a push
-///   carried a cell past a static edge the cursor had not folded yet (the repeat would fold
-///   it earlier). If neither happened, and every cell is at least one site wide, the repeat
-///   pass is counted instead of run: one more pass, and one visit per traversal entry.
+/// - **Clean rows.** A non-target row whose cells lie inside the segment and do not
+///   overlap (`row_clean`) holds no overlap a sweep could resolve, so until one of its
+///   cells moves a sweep of it is a no-op. Pass 1 sweeps the target rows and the unclean
+///   rows.
+/// - **Swept rows stay settled.** A second sweep of a row changes nothing unless a cell of
+///   the row moved after the first (a multi-row cell pushed in another of its rows), or
+///   the first pushed a cell past a static edge its cursor had not folded yet (the second
+///   would fold it earlier). Either marks the row dirty, and each pass sweeps the dirty
+///   rows in row order: a dirty row above the current one in this pass, one below it in
+///   the next.
+///
+/// The facts need every cell to be at least one site wide (a zero-width cell can tie a
+/// neighbour and reorder the row); on a region with a narrower cell every row is swept on
+/// every pass, as the reference does. The reference visits every traversal entry once per
+/// pass, so the visit count is `passes × traversal length`; a row's lists are built on its
+/// first sweep, and the length of a never-swept row is its size minus its static cells.
 pub fn shift_phase_original_with(
     problem: &ShiftProblem<'_>,
     phase: Phase,
@@ -270,28 +346,25 @@ pub fn shift_phase_original_with(
     out: &mut ShiftOutcome,
 ) -> Result<(), Infeasible> {
     let (passes, visits) = resolve_with(problem, phase, scratch)?;
-    let ShiftScratch { pos, statics, .. } = scratch;
-    out.positions.clear();
-    out.positions.extend(
-        (0..problem.region.cells.len())
-            .filter(|&i| !statics[i])
-            .map(|i| (i, pos[i])),
-    );
+    scratch.emit_moved(&problem.region.cells, None, out);
     out.passes = passes;
     out.subcell_visits = visits;
     Ok(())
 }
 
-/// Run the canonical shifting fixpoint for one phase on the scratch buffers. On success the
-/// resolved positions are in `scratch.pos`, the phase's statics in `scratch.statics` (their
-/// subcells in `scratch.static_subcells`); returns `(passes, subcell visits)`.
+/// Run the canonical shifting fixpoint for one phase on the scratch buffers (see
+/// [`shift_phase_original_with`] for which rows it sweeps). On success the moved cells are
+/// in `scratch.moved` (first-push order) with their resolved positions in `scratch.pos`, the
+/// phase's roles in `scratch.roles` and the statics' subcells in `scratch.static_subcells`;
+/// returns `(passes, subcell visits)`.
 pub(crate) fn resolve_with(
     problem: &ShiftProblem<'_>,
     phase: Phase,
     scratch: &mut ShiftScratch,
 ) -> Result<(u32, u64), Infeasible> {
     let region = problem.region;
-    let n = region.cells.len();
+    let cells = &region.cells;
+    let n = cells.len();
     // checked unconditionally: a stale row index would produce silently wrong positions
     assert_eq!(
         scratch.region_key,
@@ -301,83 +374,128 @@ pub(crate) fn resolve_with(
 
     let ShiftScratch {
         pos,
-        statics,
-        movers,
-        row_cells,
+        roles,
+        marked,
+        moved,
+        rows,
+        row_clean,
+        row_entries,
         positive_widths,
         static_subcells,
+        row_state,
         traverse,
         static_edges,
         ..
     } = scratch;
 
-    // phase membership bitmaps (the scratch twin of the reference's BTreeSets); a multi-row
-    // static appears in several rows of its chain, so its subcells count once
-    statics.clear();
-    statics.resize(n, false);
-    movers.clear();
-    movers.resize(n, false);
+    // undo the previous problem's moves and roles
+    for &i in moved.iter() {
+        pos[i] = cells[i].x;
+    }
+    moved.clear();
+    for &i in marked.iter() {
+        roles[i] = Role::Free;
+    }
+    marked.clear();
+
+    let target_rows = problem.target_rows();
+    let nsegs = region.segments.len();
+    let dense = !*positive_widths;
+
+    // phase roles; a cell in both chains is static, and a multi-row static appears in
+    // several rows of its chain, so its subcells count once. Its entries in non-target rows
+    // are static edges there, not traversal entries.
     *static_subcells = Subcells::default();
+    let mut non_target_statics = 0u64;
     let (mover_chain, static_chain) = match phase {
         Phase::Left => (&problem.point.left_chain, &problem.point.right_chain),
         Phase::Right => (&problem.point.right_chain, &problem.point.left_chain),
     };
+    for &i in mover_chain.iter().flatten() {
+        roles[i] = Role::Mover;
+        marked.push(i);
+    }
     for &i in static_chain.iter().flatten() {
-        if !statics[i] {
-            statics[i] = true;
-            static_subcells.add(region.cells[i].height);
+        if roles[i] != Role::Static {
+            roles[i] = Role::Static;
+            marked.push(i);
+            let c = &cells[i];
+            static_subcells.add(c.height);
+            non_target_statics += c
+                .rows()
+                .filter(|r| !target_rows.contains(r) && region.segment_index(*r).is_some())
+                .count() as u64;
         }
     }
-    for &i in mover_chain.iter().flatten() {
-        movers[i] = true;
-    }
 
-    pos.clear();
-    pos.extend(region.cells.iter().map(|c| c.x));
-
-    let target_rows = problem.target_rows();
-    let nsegs = region.segments.len();
-
-    // Traversal membership and static obstacle positions never change within a phase, so
-    // they are built once per problem, in phase order straight from the Ahead Sorter's row
-    // lists (the reference rebuilds and re-sorts them every pass).
-    traverse.reset(nsegs);
-    static_edges.reset(nsegs);
-    let mut traversal_len = 0u64;
+    // pass 1 sweeps the target rows and the unclean rows (every row on a dense region)
+    row_state.clear();
+    let mut traversal_len = *row_entries - non_target_statics;
     for (s, seg) in region.segments.iter().enumerate() {
         let is_target_row = target_rows.contains(&seg.row);
-        let t = traverse.get_mut(s);
-        let e = static_edges.get_mut(s);
-        let row = row_cells.get(s);
-        for k in 0..row.len() {
-            let i = match phase {
-                Phase::Left => row[row.len() - 1 - k],
-                Phase::Right => row[k],
-            };
-            if !statics[i] {
-                if !is_target_row || movers[i] {
-                    t.push(i);
-                }
-            } else if !is_target_row {
-                let c = &region.cells[i];
-                e.push((c.x, c.width));
-            }
+        if is_target_row {
+            traversal_len -= rows.row(s).len() as u64;
         }
-        traversal_len += t.len() as u64;
+        row_state.push(RowState {
+            dirty: dense || is_target_row || !row_clean[s],
+            built: false,
+        });
     }
+    traverse.reset(nsegs);
+    static_edges.reset(nsegs);
 
     let mut passes = 0u32;
-    let mut visits = 0u64;
     loop {
         passes += 1;
         let mut finish = true;
-        // whether a repeat of this pass could move anything (see the function docs)
-        let mut repeat = false;
         for (s, seg) in region.segments.iter().enumerate() {
+            if !row_state[s].dirty {
+                continue;
+            }
+            row_state[s].dirty = false;
             let is_target_row = target_rows.contains(&seg.row);
             let t = traverse.get_mut(s);
-            let edges = static_edges.get(s);
+            let e = static_edges.get_mut(s);
+            if !row_state[s].built {
+                // the traversal and static-edge lists in phase order, straight from the
+                // Ahead Sorter's row list (the reference rebuilds and re-sorts them every pass)
+                row_state[s].built = true;
+                let row = rows.row(s);
+                for k in 0..row.len() {
+                    let i = match phase {
+                        Phase::Left => row[row.len() - 1 - k],
+                        Phase::Right => row[k],
+                    };
+                    match roles[i] {
+                        Role::Static if !is_target_row => e.push((cells[i].x, cells[i].width)),
+                        Role::Static => {}
+                        Role::Free if is_target_row => {}
+                        Role::Free | Role::Mover => t.push(i),
+                    }
+                }
+                if is_target_row {
+                    traversal_len += t.len() as u64;
+                }
+            }
+            let edges = &e[..];
             let mut cursor = 0usize;
+            // whether a second sweep of this row could move anything (see the function docs)
+            let mut resweep = false;
+            let mut push =
+                |i: usize, new_x: i64, pos: &mut Vec<i64>, row_state: &mut [RowState]| {
+                    if pos[i] == cells[i].x {
+                        moved.push(i);
+                    }
+                    pos[i] = new_x;
+                    let c = &cells[i];
+                    if c.height > 1 {
+                        for r in c.rows().filter(|&r| r != seg.row) {
+                            if let Some(o) = region.segment_index(r) {
+                                row_state[o].dirty = true;
+                            }
+                        }
+                    }
+                };
             match phase {
                 Phase::Left => {
                     let key = |&i: &usize| std::cmp::Reverse((pos[i], i));
@@ -390,7 +508,6 @@ pub(crate) fn resolve_with(
                         seg.span.hi
                     };
                     for &i in t.iter() {
-                        visits += 1;
                         while cursor < edges.len() {
                             let (sx, _) = edges[cursor];
                             if sx >= pos[i] {
@@ -400,16 +517,15 @@ pub(crate) fn resolve_with(
                                 break;
                             }
                         }
-                        let c = &region.cells[i];
-                        if pos[i] + c.width > bound {
-                            let new_x = bound - c.width;
+                        let w = cells[i].width;
+                        if pos[i] + w > bound {
+                            let new_x = bound - w;
                             if new_x < seg.span.lo {
                                 return Err(Infeasible);
                             }
-                            pos[i] = new_x;
+                            push(i, new_x, pos, row_state);
                             finish = false;
-                            repeat |= c.y < seg.row
-                                || edges.get(cursor).is_some_and(|&(sx, _)| sx >= new_x);
+                            resweep |= edges.get(cursor).is_some_and(|&(sx, _)| sx >= new_x);
                         }
                         bound = bound.min(pos[i]);
                     }
@@ -425,7 +541,6 @@ pub(crate) fn resolve_with(
                         seg.span.lo
                     };
                     for &i in t.iter() {
-                        visits += 1;
                         while cursor < edges.len() {
                             let (sx, sw) = edges[cursor];
                             if sx <= pos[i] {
@@ -435,20 +550,20 @@ pub(crate) fn resolve_with(
                                 break;
                             }
                         }
-                        let c = &region.cells[i];
+                        let w = cells[i].width;
                         if pos[i] < bound {
-                            if bound + c.width > seg.span.hi {
+                            if bound + w > seg.span.hi {
                                 return Err(Infeasible);
                             }
-                            pos[i] = bound;
+                            push(i, bound, pos, row_state);
                             finish = false;
-                            repeat |= c.y < seg.row
-                                || edges.get(cursor).is_some_and(|&(sx, _)| sx <= bound);
+                            resweep |= edges.get(cursor).is_some_and(|&(sx, _)| sx <= bound);
                         }
-                        bound = bound.max(pos[i] + c.width);
+                        bound = bound.max(pos[i] + w);
                     }
                 }
             }
+            row_state[s].dirty |= dense || resweep;
         }
         if finish {
             break;
@@ -456,14 +571,13 @@ pub(crate) fn resolve_with(
         if passes > 4 * (n as u32 + 2) {
             return Err(Infeasible);
         }
-        if !repeat && *positive_widths {
-            // the confirmation pass would visit every traversal entry and move nothing
+        if !row_state.iter().any(|r| r.dirty) {
+            // the next pass would sweep nothing: count it, one visit per traversal entry
             passes += 1;
-            visits += traversal_len;
             break;
         }
     }
-    Ok((passes, visits))
+    Ok((passes, passes as u64 * traversal_len))
 }
 
 /// Shifting failed: a cell would have to be pushed outside its localSegment.
@@ -838,16 +952,9 @@ mod tests {
         assert_eq!(shift_phase_original(&problem, Phase::Left), Err(Infeasible));
     }
 
-    /// Run a hand-built two-row problem (row 0 is the target row, cell 0 the two-row mover,
-    /// `statics` the opposite chain) and check that the scratch kernel runs the repeat pass
-    /// the reference needs.
-    fn assert_kernel_repeats(
-        phase: Phase,
-        cells: &[(i64, i64, i64, i64)],
-        statics: Vec<usize>,
-        target_x: i64,
-    ) {
-        let region = LocalRegion {
+    /// A two-row region, rows `[0, 40)`, holding `cells` given as `(x, width, y, height)`.
+    fn two_row_region(cells: &[(i64, i64, i64, i64)]) -> LocalRegion {
+        LocalRegion {
             target: CellId(9),
             window: Rect::new(0, 0, 40, 2),
             segments: (0..2)
@@ -869,7 +976,37 @@ mod tests {
                 })
                 .collect(),
             density: 0.3,
-        };
+        }
+    }
+
+    /// The reference outcome as the scratch kernel reports it: only the moved cells.
+    fn moved_only(region: &LocalRegion, mut outcome: ShiftOutcome) -> ShiftOutcome {
+        outcome.positions.retain(|&(i, x)| x != region.cells[i].x);
+        outcome
+    }
+
+    /// Run `problem` through the reference and the scratch kernel, assert they agree, and
+    /// return the reference outcome.
+    fn assert_kernel_agrees(problem: &ShiftProblem<'_>, phase: Phase) -> ShiftOutcome {
+        let expect = shift_phase_original(problem, phase).unwrap();
+        let mut scratch = ShiftScratch::default();
+        scratch.begin_region(problem.region);
+        let mut out = ShiftOutcome::default();
+        shift_phase_original_with(problem, phase, &mut scratch, &mut out).unwrap();
+        assert_eq!(out, moved_only(problem.region, expect.clone()), "{phase:?}");
+        expect
+    }
+
+    /// Run a hand-built two-row problem (row 0 is the target row, cell 0 the two-row mover,
+    /// `statics` the opposite chain) and check that the scratch kernel runs the repeat pass
+    /// the reference needs.
+    fn assert_kernel_repeats(
+        phase: Phase,
+        cells: &[(i64, i64, i64, i64)],
+        statics: Vec<usize>,
+        target_x: i64,
+    ) {
+        let region = two_row_region(cells);
         let (movers, statics) = (vec![vec![0]], vec![statics]);
         let (left_chain, right_chain) = match phase {
             Phase::Left => (movers, statics),
@@ -889,13 +1026,33 @@ mod tests {
             target_height: 1,
             target_x,
         };
-        let expect = shift_phase_original(&problem, phase).unwrap();
+        let expect = assert_kernel_agrees(&problem, phase);
         assert_eq!(expect.passes, 3, "{phase:?}: the second pass pushes again");
-        let mut scratch = ShiftScratch::default();
-        scratch.begin_region(&region);
-        let mut out = ShiftOutcome::default();
-        shift_phase_original_with(&problem, phase, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, expect, "{phase:?}");
+    }
+
+    /// A two-row mover pushed in its upper (target) row dirties the row below. That row is
+    /// clean, so pass 1 skips it; the next pass must sweep it and push the cell there.
+    #[test]
+    fn a_mover_pushed_in_its_upper_row_dirties_the_row_below() {
+        // the mover on rows 0-1 at [10, 14), a row-0 cell touching it at [6, 10)
+        let region = two_row_region(&[(10, 4, 0, 2), (6, 4, 0, 1)]);
+        let point = InsertionPoint {
+            bottom_row: 1,
+            x_lo: 12,
+            x_hi: 12,
+            left_chain: vec![vec![0]],
+            right_chain: vec![vec![]],
+        };
+        let problem = ShiftProblem {
+            region: &region,
+            point: &point,
+            target_width: 2,
+            target_height: 1,
+            target_x: 12,
+        };
+        let expect = assert_kernel_agrees(&problem, Phase::Left);
+        assert_eq!(expect.as_map(), [(0, 8), (1, 4)].into());
+        assert_eq!(expect.passes, 3);
     }
 
     /// A push that carries a cell past a static edge the sweep has not folded yet must be
